@@ -5,8 +5,9 @@
 //
 // Before the benchmarks run, main() prints two JSON tables:
 //  - the optimizer scorecard (O0 vs O2 dynamic ops / traffic / sim time);
-//  - the interpreter scorecard (O2 stack vs O2 threaded-register host
-//    wall-clock per corpus kernel, with the geometric-mean speedup).
+//  - the interpreter scorecard (O2 stack vs O2 threaded — the register
+//    work-group VM — host wall-clock per corpus kernel, with the
+//    geometric-mean speedups).
 // With `--json <path>` the interpreter comparison is also written as an
 // hplrepro-bench-v1 results file (BENCH_vm.json in CI).
 
@@ -101,8 +102,9 @@ BENCHMARK(BM_HplWarmEvalDispatch);
 
 void barrier_group_scheduling(benchmark::State& state,
                               const char* build_options) {
-  // A barrier kernel forces the phase-based scheduler: measures the cost
-  // of suspending/resuming every work-item of a group.
+  // A barrier kernel: measures the cost of crossing barriers — region
+  // loops over the group on the register VM, suspending and resuming
+  // every work-item on the stack interpreter.
   const char* src = R"CLC(
 __kernel void sync_heavy(__global float* data) {
   __local float s[64];
@@ -131,14 +133,9 @@ __kernel void sync_heavy(__global float* data) {
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
 
-void BM_BarrierGroupSchedulingThreaded(benchmark::State& state) {
-  barrier_group_scheduling(state, "-cl-interp=threaded -cl-wg-loops=off");
-}
-BENCHMARK(BM_BarrierGroupSchedulingThreaded);
-
 void BM_BarrierGroupSchedulingThreadedWgLoops(benchmark::State& state) {
-  // Work-group compilation (default under threaded): barrier regions run
-  // as work-item loops on one activation instead of per-item resumes.
+  // The register VM: barrier regions run as work-item loops on one
+  // activation instead of per-item resumes.
   barrier_group_scheduling(state, "-cl-interp=threaded");
 }
 BENCHMARK(BM_BarrierGroupSchedulingThreadedWgLoops);
@@ -182,16 +179,16 @@ void print_opt_pipeline_table() {
   std::printf("  ]\n}\n");
 }
 
-// Compares the interpreter configurations at O2 on every corpus kernel
-// plus the barrier-heavy extras: host wall-clock inside the VM (best of
-// kRepeats to shed scheduler noise) for the stack interpreter, the
-// register interpreter with work-group compilation off, and the default
-// threaded+wg-loops configuration. Cross-checks that all three produced
-// bit-identical outputs and identical dynamic op totals — the lowering
-// and work-group-compilation contracts. Besides the overall geomeans, a
-// "geomean_barrier" row reports the wg-loops speedup over the dedicated
-// barrier-kernel rows (barrier_kernel_names()), whose geometries make
-// group scheduling — what region looping replaces — the dominant cost.
+// Compares the two interpreters at O2 on every corpus kernel plus the
+// barrier-heavy extras: host wall-clock inside the VM (best of kRepeats to
+// shed scheduler noise) for the stack interpreter and the threaded
+// register VM, which runs barrier regions as work-item loops. Cross-checks
+// that both produced bit-identical outputs and identical dynamic op and
+// barrier totals — the lowering and work-group-compilation contracts.
+// Besides the overall geomean, a "geomean_barrier" row reports the
+// threaded speedup over stack on the dedicated barrier-kernel rows
+// (barrier_kernel_names()), whose geometries make barrier crossing the
+// dominant cost.
 void print_interp_table(hplrepro::bench::JsonReporter& json) {
   constexpr int kRepeats = 9;
   const clsim::Device device =
@@ -201,68 +198,53 @@ void print_interp_table(hplrepro::bench::JsonReporter& json) {
     names.push_back(name);
   }
   std::printf("{\n  \"interpreter\": [\n");
-  double log_sum = 0, log_sum_wg = 0, log_sum_barrier = 0;
+  double log_sum = 0, log_sum_barrier = 0;
   std::size_t barrier_rows = 0;
   const std::size_t corpus_rows = bs::corpus_kernel_names().size();
   for (std::size_t i = 0; i < names.size(); ++i) {
-    double stack_wall = 0, threaded_wall = 0, wg_wall = 0;
+    double stack_wall = 0, threaded_wall = 0;
     bool identical = true;
     for (int r = 0; r < kRepeats; ++r) {
       const bs::CorpusRun s =
           bs::run_corpus_kernel(names[i], device, "-O2 -cl-interp=stack");
-      const bs::CorpusRun t = bs::run_corpus_kernel(
-          names[i], device, "-O2 -cl-interp=threaded -cl-wg-loops=off");
-      const bs::CorpusRun w =
+      const bs::CorpusRun t =
           bs::run_corpus_kernel(names[i], device, "-O2 -cl-interp=threaded");
       identical = identical && s.outputs == t.outputs &&
-                  s.outputs == w.outputs &&
                   s.stats.total_ops() == t.stats.total_ops() &&
-                  s.stats.total_ops() == w.stats.total_ops() &&
-                  s.stats.barriers_executed == w.stats.barriers_executed;
+                  s.stats.barriers_executed == t.stats.barriers_executed;
       stack_wall = r == 0 ? s.kernel_wall_seconds
                           : std::min(stack_wall, s.kernel_wall_seconds);
       threaded_wall = r == 0 ? t.kernel_wall_seconds
                              : std::min(threaded_wall, t.kernel_wall_seconds);
-      wg_wall = r == 0 ? w.kernel_wall_seconds
-                       : std::min(wg_wall, w.kernel_wall_seconds);
     }
     const double speedup = stack_wall / threaded_wall;
-    const double wg_speedup = threaded_wall / wg_wall;
     log_sum += std::log(speedup);
-    log_sum_wg += std::log(stack_wall / wg_wall);
     if (i >= corpus_rows) {  // the barrier_kernel_names() rows
-      log_sum_barrier += std::log(wg_speedup);
+      log_sum_barrier += std::log(speedup);
       ++barrier_rows;
     }
     std::printf(
         "    {\"kernel\": \"%s\", \"stack_wall_s\": %.9f, "
-        "\"threaded_wall_s\": %.9f, \"wg_wall_s\": %.9f, "
-        "\"speedup\": %.3f, \"wg_speedup\": %.3f, "
+        "\"threaded_wall_s\": %.9f, \"speedup\": %.3f, "
         "\"identical\": %s},\n",
-        names[i].c_str(), stack_wall, threaded_wall, wg_wall, speedup,
-        wg_speedup, identical ? "true" : "false");
+        names[i].c_str(), stack_wall, threaded_wall, speedup,
+        identical ? "true" : "false");
     json.add_row(names[i], {{"stack_wall_s", stack_wall},
                             {"threaded_wall_s", threaded_wall},
-                            {"wg_wall_s", wg_wall},
-                            {"speedup", speedup},
-                            {"wg_speedup", wg_speedup}});
+                            {"speedup", speedup}});
   }
   const double geomean =
       std::exp(log_sum / static_cast<double>(names.size()));
-  const double geomean_wg =
-      std::exp(log_sum_wg / static_cast<double>(names.size()));
   const double geomean_barrier =
       barrier_rows == 0
           ? 1.0
           : std::exp(log_sum_barrier / static_cast<double>(barrier_rows));
   std::printf(
       "    {\"kernel\": \"geomean\", \"speedup\": %.3f},\n"
-      "    {\"kernel\": \"geomean_wg\", \"speedup\": %.3f},\n"
-      "    {\"kernel\": \"geomean_barrier\", \"wg_speedup\": %.3f}\n  ]\n}\n",
-      geomean, geomean_wg, geomean_barrier);
+      "    {\"kernel\": \"geomean_barrier\", \"speedup\": %.3f}\n  ]\n}\n",
+      geomean, geomean_barrier);
   json.add_row("geomean", {{"speedup", geomean}});
-  json.add_row("geomean_wg", {{"speedup", geomean_wg}});
-  json.add_row("geomean_barrier", {{"wg_speedup", geomean_barrier}});
+  json.add_row("geomean_barrier", {{"speedup", geomean_barrier}});
 }
 
 }  // namespace

@@ -182,10 +182,10 @@ struct CompiledFunction {
 // position to a virtual register (registers 0..num_slots-1 double as the
 // function's slots, so LoadSlot/StoreSlot mostly disappear into register
 // renaming), and control flow becomes explicit basic blocks. The register
-// interpreter (RegItemVM, vm.hpp) executes this form with direct-threaded
-// dispatch and accounts ExecStats once per block entry from the histograms
-// precomputed here — by construction those histograms sum to exactly what
-// the stack interpreter would have counted per instruction.
+// interpreter (WorkGroupVM, vm.hpp) executes this form with
+// direct-threaded dispatch and accounts ExecStats once per block entry from
+// the histograms precomputed here — by construction those histograms sum
+// to exactly what the stack interpreter would have counted per instruction.
 
 // X-macro over the register opcodes; keeps the computed-goto label table in
 // vm.cpp in enum order by construction.
@@ -271,11 +271,11 @@ struct RegFunction {
 /// loops): the register code is split at barriers into regions, and the
 /// registers live across any region boundary get per-item spill slots so
 /// a whole group can run on one shared activation. Produced by
-/// analyze_wg_loops (wgloops.hpp) when -cl-wg-loops is on.
+/// analyze_wg_loops (wgloops.hpp) after every successful lowering.
 struct WgInfo {
   /// A kernel is eligible when every barrier sits in its own top-level
   /// code (no barrier reachable through a Call) and its block structure is
-  /// well formed. Ineligible kernels fall back to per-item activations.
+  /// well formed. Ineligible kernels run on the stack interpreter.
   bool eligible = false;
   /// Number of barrier-delimited regions (resume points): 1 for
   /// barrier-free kernels, barriers + 1 otherwise.
@@ -318,8 +318,8 @@ struct Module {
   std::vector<RegFunction> reg_functions;
 
   /// Work-group compilation metadata, parallel to `functions`. Filled by
-  /// analyze_wg_loops (-cl-wg-loops, on by default under threaded); empty
-  /// when work-item loops are disabled or the module is stack-only.
+  /// analyze_wg_loops whenever lower_module succeeds; empty when the
+  /// module is stack-only.
   std::vector<WgInfo> wg_info;
 
   const CompiledFunction* find(const std::string& name) const {
@@ -331,8 +331,12 @@ struct Module {
     return !functions.empty() && reg_functions.size() == functions.size();
   }
 
-  bool has_wg_form() const {
-    return has_reg_form() && wg_info.size() == functions.size();
+  /// Whether function `index` runs on the register VM (WorkGroupVM):
+  /// lowered, and accepted by the work-group analysis. Everything else runs
+  /// on the stack interpreter.
+  bool wg_eligible(std::size_t index) const {
+    return has_reg_form() && index < wg_info.size() &&
+           wg_info[index].eligible;
   }
 
   std::vector<std::string> kernel_names() const {

@@ -35,10 +35,6 @@ bool parse_build_options(std::string_view options, CompileOptions& out,
       out.interp = InterpMode::Stack;
     } else if (tok == "-cl-interp=threaded") {
       out.interp = InterpMode::Threaded;
-    } else if (tok == "-cl-wg-loops" || tok == "-cl-wg-loops=on") {
-      out.wg_loops = true;
-    } else if (tok == "-cl-wg-loops=off") {
-      out.wg_loops = false;
     } else if (tok == "-cl-fusion" || tok == "-cl-fusion=on") {
       out.fusion = true;
     } else if (tok == "-cl-fusion=off") {
@@ -77,18 +73,28 @@ CompileResult compile(std::string_view source, const CompileOptions& options) {
   result.opt_report = optimize_module(result.module, options.opt_level);
   result.build_log = diags.log();
   if (options.interp == InterpMode::Threaded) {
-    // Lower the optimized stack bytecode to the register form executed by
-    // the direct-threaded interpreter. A lowering failure is not a build
-    // error: the module simply stays stack-only and the executor falls
-    // back to the stack interpreter.
-    std::string note = lower_module(result.module);
-    if (!note.empty()) {
+    // Lower the optimized stack bytecode to the register form and split
+    // each kernel at its barriers into work-item loops (WorkGroupVM). A
+    // failed lowering or a kernel the work-group analysis rejects is not a
+    // build error: it runs on the stack interpreter, with a note.
+    const auto note = [&](const std::string& text) {
       if (!result.build_log.empty()) result.build_log += '\n';
-      result.build_log += note;
-    } else if (options.wg_loops) {
-      // Work-group compilation: region/liveness analysis over the register
-      // form so eligible kernels run as work-item loops (WorkGroupVM).
-      analyze_wg_loops(result.module);
+      result.build_log += text;
+    };
+    Module& module = result.module;
+    const std::string lowering_note = lower_module(module);
+    if (!lowering_note.empty()) {
+      note(lowering_note);
+    } else {
+      analyze_wg_loops(module);
+      for (std::size_t i = 0; i < module.functions.size(); ++i) {
+        if (module.functions[i].is_kernel && !module.wg_eligible(i)) {
+          note("note: kernel '" + module.functions[i].name +
+               "' has a barrier the work-group analysis cannot split "
+               "(e.g. barrier() inside a called function); falling back "
+               "to the stack interpreter");
+        }
+      }
     }
   }
   return result;

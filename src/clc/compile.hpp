@@ -15,17 +15,13 @@ namespace hplrepro::clc {
 
 /// Which interpreter executes the kernel: the stack bytecode directly, or
 /// the register form lowered from it at build time and run by the
-/// direct-threaded dispatch loop (same results, same stats, faster).
+/// direct-threaded work-group VM (same results, same stats, faster).
 enum class InterpMode : std::uint8_t { Stack, Threaded };
 
 /// Compilation knobs, settable through OpenCL-style build options.
 struct CompileOptions {
   OptLevel opt_level = OptLevel::O2;  // real drivers optimize by default
   InterpMode interp = InterpMode::Threaded;
-  /// Work-group compilation (pocl-style work-item loops): split kernels at
-  /// barriers and run each region as a loop over the group on one shared
-  /// activation. Only meaningful under InterpMode::Threaded; on by default.
-  bool wg_loops = true;
   /// Lazy-DAG kernel fusion in the HPL front-end (map-map/map-reduce
   /// rewrites before launch). Parsed here so the option travels with the
   /// other build knobs; clc::compile itself ignores it — the HPL runtime
@@ -38,7 +34,6 @@ struct CompileOptions {
 /// (enable it; all map to the full pipeline), -cl-mad-enable (accepted; mad
 /// fusion is bit-exact here so it is always on at O2), -w (ignored),
 /// -cl-interp=stack|threaded (pick the interpreter; default threaded),
-/// -cl-wg-loops[=on|off] (work-item loops; default on under threaded),
 /// -cl-fusion[=on|off] (HPL eval-DAG kernel fusion; default on).
 /// Returns false and sets `error` on the first unrecognised option.
 bool parse_build_options(std::string_view options, CompileOptions& out,

@@ -8,8 +8,8 @@
 /// -O2 has to produce exactly the output of the same kernel interpreted at
 /// -O0. Every expression here is therefore the same C++ expression the VM
 /// dispatch loop evaluates (see vm.cpp), including the defined-everywhere
-/// semantics clc gives to division by zero, INT64_MIN / -1, over-wide shift
-/// counts and float->int truncation.
+/// semantics clc gives to integer overflow, division by zero,
+/// INT64_MIN / -1, over-wide shift counts and float->int truncation.
 
 #include <cmath>
 #include <cstdint>
@@ -29,6 +29,29 @@ struct Folded {
   FoldKind kind = FoldKind::None;
   Value v{};
 };
+
+/// Wrapping (two's-complement) integer arithmetic, the semantics clc gives
+/// to signed overflow at every width it keeps in 64 bits. Computed on
+/// uint64_t and cast back, so the host never executes a signed overflow:
+/// the fold and both interpreters call these, and their agreement does not
+/// depend on what the host compiler makes of undefined behaviour.
+inline std::int64_t wrap_add(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) +
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrap_sub(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) -
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrap_mul(std::int64_t a, std::int64_t b) {
+  return static_cast<std::int64_t>(static_cast<std::uint64_t>(a) *
+                                   static_cast<std::uint64_t>(b));
+}
+inline std::int64_t wrap_neg(std::int64_t a) { return wrap_sub(0, a); }
+/// abs(INT64_MIN) wraps to INT64_MIN.
+inline std::int64_t wrap_abs(std::int64_t a) {
+  return a < 0 ? wrap_neg(a) : a;
+}
 
 /// Saturating float->signed truncation (the VM's F2I/D2I semantics).
 inline std::int64_t checked_trunc_i64(double v) {
@@ -57,9 +80,9 @@ inline Folded fold_binary(Op op, FoldKind ka, const Value& a, FoldKind kb,
     out.v.FIELD = (EXPR);                                \
     return out;
   switch (op) {
-    HPLREPRO_FOLD_BIN(AddI, I64, I64, i64, a.i64 + b.i64)
-    HPLREPRO_FOLD_BIN(SubI, I64, I64, i64, a.i64 - b.i64)
-    HPLREPRO_FOLD_BIN(MulI, I64, I64, i64, a.i64 * b.i64)
+    HPLREPRO_FOLD_BIN(AddI, I64, I64, i64, wrap_add(a.i64, b.i64))
+    HPLREPRO_FOLD_BIN(SubI, I64, I64, i64, wrap_sub(a.i64, b.i64))
+    HPLREPRO_FOLD_BIN(MulI, I64, I64, i64, wrap_mul(a.i64, b.i64))
     HPLREPRO_FOLD_BIN(DivI, I64, I64, i64,
                       b.i64 == 0 ? 0
                                  : (a.i64 == INT64_MIN && b.i64 == -1
@@ -125,7 +148,7 @@ inline Folded fold_unary(Op op, FoldKind ka, const Value& a) {
     out.v.FIELD = (EXPR);                               \
     return out;
   switch (op) {
-    HPLREPRO_FOLD_UN(NegI, I64, I64, i64, -a.i64)
+    HPLREPRO_FOLD_UN(NegI, I64, I64, i64, wrap_neg(a.i64))
     HPLREPRO_FOLD_UN(NotI, I64, I64, u64, ~a.u64)
     HPLREPRO_FOLD_UN(NegF, F32, F32, f32, -a.f32)
     HPLREPRO_FOLD_UN(NegD, F64, F64, f64, -a.f64)

@@ -377,14 +377,14 @@ class FunctionOptimizer {
               ptr.is_ptr && ptr.producer != kNoProducer) {
             // Fold the constant offset into the arena-pointer immediate
             // (equal mod 2^48, which is what pointer_add computes).
-            const std::int64_t delta = idx.v.i64 * in.a;
+            const std::int64_t delta = wrap_mul(idx.v.i64, in.a);
             mark_dead(idx.producer);
             mark_dead(ptr.producer);
             in = {ptr.space == PtrSpace::Local ? Op::LocalPtr
                                                : Op::PrivatePtr,
-                  0, ptr.ptr_imm + delta};
+                  0, wrap_add(ptr.ptr_imm, delta)};
             AbsVal e = ptr;
-            e.ptr_imm = ptr.ptr_imm + delta;
+            e.ptr_imm = wrap_add(ptr.ptr_imm, delta);
             e.producer = self;
             st.push_back(e);
             ++stats_.constants_folded;

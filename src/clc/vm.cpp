@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <type_traits>
 
 #include "clc/builtins.hpp"
 #include "clc/fold.hpp"
@@ -255,7 +254,7 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
         break;
       case Op::PtrAdd: {
         const std::int64_t index = pop().i64;
-        top().u64 = pointer_add(top().u64, index * instr.a);
+        top().u64 = pointer_add(top().u64, wrap_mul(index, instr.a));
         break;
       }
       case Op::LocalPtr: {
@@ -320,9 +319,9 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
     a.FIELD = (EXPR);                                                       \
     break;                                                                  \
   }
-      HPLREPRO_BIN_CASE(AddI, i64, a.i64 + b.i64)
-      HPLREPRO_BIN_CASE(SubI, i64, a.i64 - b.i64)
-      HPLREPRO_BIN_CASE(MulI, i64, a.i64 * b.i64)
+      HPLREPRO_BIN_CASE(AddI, i64, wrap_add(a.i64, b.i64))
+      HPLREPRO_BIN_CASE(SubI, i64, wrap_sub(a.i64, b.i64))
+      HPLREPRO_BIN_CASE(MulI, i64, wrap_mul(a.i64, b.i64))
       HPLREPRO_BIN_CASE(DivI, i64, b.i64 == 0 ? 0 : (a.i64 == INT64_MIN && b.i64 == -1 ? a.i64 : a.i64 / b.i64))
       HPLREPRO_BIN_CASE(DivU, u64, b.u64 == 0 ? 0 : a.u64 / b.u64)
       HPLREPRO_BIN_CASE(RemI, i64, b.i64 == 0 ? 0 : (a.i64 == INT64_MIN && b.i64 == -1 ? 0 : a.i64 % b.i64))
@@ -365,7 +364,7 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
       HPLREPRO_BIN_CASE(GeD, i64, a.f64 >= b.f64 ? 1 : 0)
 #undef HPLREPRO_BIN_CASE
 
-      case Op::NegI: top().i64 = -top().i64; break;
+      case Op::NegI: top().i64 = wrap_neg(top().i64); break;
       case Op::NotI: top().u64 = ~top().u64; break;
       case Op::NegF: top().f32 = -top().f32; break;
       case Op::NegD: top().f64 = -top().f64; break;
@@ -499,7 +498,7 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
             switch (id) {
               case Builtin::Min: v.i64 = a[0] < a[1] ? a[0] : a[1]; break;
               case Builtin::Max: v.i64 = a[0] > a[1] ? a[0] : a[1]; break;
-              case Builtin::Abs: v.i64 = a[0] < 0 ? -a[0] : a[0]; break;
+              case Builtin::Abs: v.i64 = wrap_abs(a[0]); break;
               case Builtin::Clamp:
                 v.i64 = a[0] < a[1] ? a[1] : (a[0] > a[2] ? a[2] : a[0]);
                 break;
@@ -535,7 +534,8 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
 #define HPLREPRO_LIDX_CASE(OPNAME, CTYPE, FIELD, EXT)                       \
   case Op::OPNAME: {                                                        \
     const std::int64_t index = pop().i64;                                   \
-    const std::uint64_t ptr = pointer_add(pop().u64, index * instr.a);      \
+    const std::uint64_t ptr =                                               \
+        pointer_add(pop().u64, wrap_mul(index, instr.a));                   \
     note_access(ptr, sizeof(CTYPE), false, pc_key);                         \
     CTYPE raw;                                                              \
     std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
@@ -566,7 +566,8 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
   case Op::OPNAME: {                                                        \
     const Value v = pop();                                                  \
     const std::int64_t index = pop().i64;                                   \
-    const std::uint64_t ptr = pointer_add(pop().u64, index * instr.a);      \
+    const std::uint64_t ptr =                                               \
+        pointer_add(pop().u64, wrap_mul(index, instr.a));                   \
     note_access(ptr, sizeof(CTYPE), true, pc_key);                          \
     const CTYPE raw = static_cast<CTYPE>(v.FIELD);                          \
     std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
@@ -588,12 +589,12 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
           const Value z = pop();
           const Value y = pop();
           Value& x = top();
-          x.i64 = x.i64 * y.i64 + z.i64;
+          x.i64 = wrap_add(wrap_mul(x.i64, y.i64), z.i64);
         } else {
           const Value y = pop();
           const Value x = pop();
           Value& z = top();
-          z.i64 = z.i64 + x.i64 * y.i64;
+          z.i64 = wrap_add(z.i64, wrap_mul(x.i64, y.i64));
         }
         ++stats.fused_ops;
         break;
@@ -653,65 +654,28 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
 #define HPLREPRO_VM_COMPUTED_GOTO 0
 #endif
 
-void RegItemVM::reset(const Module& module, const CompiledFunction& kernel,
-                      std::span<const Value> args) {
-  if (!module.has_reg_form()) {
-    throw InternalError("RegItemVM::reset: module has no register form");
-  }
-  if (args.size() != kernel.params.size()) {
-    throw InternalError("RegItemVM::reset: argument count mismatch");
-  }
-  module_ = &module;
-  const auto index =
-      static_cast<std::size_t>(&kernel - module.functions.data());
-  const RegFunction& fn = module.reg_functions[index];
-  frames_.clear();
-  frames_.push_back(RegFrame{&fn, 0, kRegNoRet, 0, 0});
-  regs_.assign(fn.num_regs, Value{});
-  for (std::size_t i = 0; i < args.size(); ++i) regs_[i] = args[i];
-  private_arena_.assign(fn.private_bytes, std::byte{0});
-  barrier_flags_ = 0;
-  pending_block_ = 0;
-}
-
-// One dispatch loop, two execution shapes. RegRunner::run is the body of
-// both register interpreters (see the comment on the definition below).
-struct RegRunner {
-  template <class VM>
-  static RunStatus run(VM& vm, const MemoryEnv& mem, const LaunchInfo& launch,
-                       const WorkItemInfo* items, ExecStats& stats,
-                       MemTracker* tracker);
-};
-
-// RegRunner::run is the body of both register interpreters:
-//   - VM = RegItemVM: one work-item per activation; barriers suspend
-//     (return RunStatus::Barrier) exactly as before.
-//   - VM = WorkGroupVM: pocl-style work-item loops — every item of the
-//     group executes on this one activation; a barrier saves the item's
-//     cross-region live registers to its spill row and the loop advances
-//     to the next item instead of suspending.
-// All mode-specific code sits in `if constexpr (kWG)` branches, so each
-// instantiation only touches the members its VM actually has.
-template <class VM>
-RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
-                         const LaunchInfo& launch, const WorkItemInfo* items,
-                         ExecStats& stats, MemTracker* tracker) {
-  constexpr bool kWG = std::is_same_v<VM, WorkGroupVM>;
-
-  std::uint64_t fuel = vm.fuel_;
-  RegFrame* fr = &vm.frames_.back();
+// pocl-style work-item loops: every item of the group executes on this one
+// activation. The loop starts at the phase's first unfinished item; a
+// barrier saves the item's cross-region live registers to its spill row
+// and a kernel-level return marks it done, and either way the loop
+// advances to the next unfinished item instead of suspending. The phase
+// ends when no unfinished item remains past the cursor.
+void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
+                            const WorkItemInfo* items, ExecStats& stats,
+                            MemTracker* tracker) {
+  std::uint64_t fuel = fuel_;
+  Frame* fr = &frames_.back();
   const RegFunction* fn = fr->fn;
   const RegInstr* code = fn->code.data();
-  Value* R = vm.regs_.data() + fr->base;
+  Value* R = regs_.data() + fr->base;
   std::uint32_t pc = 0;
   const RegInstr* in = nullptr;
 
-  // Which work-item is executing: fixed in item mode, the loop cursor in
-  // wg mode (wg_advance below rebinds item/priv/R when switching items).
-  const WorkItemInfo* item = items;
+  // The item the loop is executing; advance() binds item/priv/cur when
+  // switching items.
+  const WorkItemInfo* item = nullptr;
   std::vector<std::byte>* priv = nullptr;
-  [[maybe_unused]] std::size_t cur = static_cast<std::size_t>(-1);
-  if constexpr (!kWG) priv = &vm.private_arena_;
+  std::size_t cur = static_cast<std::size_t>(-1);
 
   auto trap = [](const char* what) -> void { throw TrapError(what); };
 
@@ -788,53 +752,60 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     pc = blk.start;
   };
 
-  // wg mode only: advance the work-item loop to the next unfinished item
-  // and enter its pending region — restore its spill row into the shared
-  // register file, reset the per-item fuel budget (each item-region entry
-  // gets the full budget, exactly like a per-item run() call), account the
-  // region's entry block. Returns false when no unfinished item remains
-  // past the cursor, i.e. the current phase is over. Only called at frame
-  // depth 1 (eligible kernels have no barriers inside callees), so the
-  // kernel frame's register window starts at vm.regs_[0].
-  auto wg_advance = [&]() -> bool {
-    if constexpr (kWG) {
-      const std::size_t n = vm.group_items_;
-      std::size_t i = cur + 1;  // first call: cur == size_t(-1) wraps to 0
-      while (i < n && vm.done_[i]) ++i;
-      if (i >= n) return false;
-      cur = i;
-      item = items + cur;
-      priv = &vm.privs_[cur];
-      // fr/fn/code/R still address the kernel frame: Call/Ret rebind them
-      // on every push/pop and barriers only occur at frame depth 1.
-      const auto blk = vm.pending_[cur];
-      const auto span = vm.restore_by_block_[blk];
-      const auto* pairs = vm.spill_pairs_.data() + span.begin;
-      // A fresh item (pending block 0) restores from the argument image; a
-      // resumed one from the spill columns its barrier save wrote.
-      const Value* src = blk == 0
-                             ? vm.spill_init_.data()
-                             : vm.spills_.data() + cur * vm.spill_stride_;
-      for (std::uint32_t k = 0; k < span.len; ++k) {
-        R[pairs[k].first] = src[pairs[k].second];
-      }
-      fuel = vm.fuel_;
-      ++vm.regions_executed_;
-      enter_block(blk);
-      return true;
-    } else {
-      return false;
+  // Advances the work-item loop to the next unfinished item and enters its
+  // pending region: restores its spill row into the shared register file,
+  // resets the per-item fuel budget (each item-region entry gets the full
+  // budget, like one stack-interpreter run() between barriers) and
+  // accounts the region's entry block. Returns false when no unfinished
+  // item remains past the cursor, i.e. the phase is over. Only called at
+  // frame depth 1 (eligible kernels have no barriers inside callees), so
+  // the kernel frame's register window starts at regs_[0].
+  auto advance = [&]() -> bool {
+    std::size_t i = cur + 1;  // first call: cur == size_t(-1) wraps to 0
+    while (i < group_items_ && done_[i]) ++i;
+    if (i >= group_items_) return false;
+    cur = i;
+    item = items + cur;
+    priv = &privs_[cur];
+    // fr/fn/code/R still address the kernel frame: Call/Ret rebind them on
+    // every push/pop and barriers only occur at frame depth 1.
+    const auto blk = pending_[cur];
+    const auto span = restore_by_block_[blk];
+    const auto* pairs = spill_pairs_.data() + span.begin;
+    // A fresh item (pending block 0) restores from the argument image; a
+    // resumed one from the spill columns its barrier save wrote.
+    const Value* src = blk == 0 ? spill_init_.data()
+                                : spills_.data() + cur * spill_stride_;
+    for (std::uint32_t k = 0; k < span.len; ++k) {
+      R[pairs[k].first] = src[pairs[k].second];
     }
+    fuel = fuel_;
+    ++regions_executed_;
+    enter_block(blk);
+    return true;
   };
 
-  // Kernel entry accounts block 0; resumption after a barrier accounts the
-  // barrier's resume block. In wg mode the first wg_advance picks the
-  // phase's first unfinished item.
-  if constexpr (kWG) {
-    if (!wg_advance()) return RunStatus::Done;
-  } else {
-    enter_block(vm.pending_block_);
-  }
+  // A kernel-level return: the item is finished; the shared kernel frame
+  // stays for the next unfinished item.
+  auto finish_item = [&]() -> bool {
+    done_[cur] = 1;
+    ++done_count_;
+    ++phase_finished_;
+    return advance();
+  };
+
+  // Returns from a helper call into its caller's frame.
+  auto pop_frame = [&] {
+    regs_.resize(fr->base);
+    frames_.pop_back();
+    fr = &frames_.back();
+    fn = fr->fn;
+    code = fn->code.data();
+    R = regs_.data() + fr->base;
+    pc = fr->pc;
+  };
+
+  if (!advance()) return;
 
 #if HPLREPRO_VM_COMPUTED_GOTO
   static const void* const kLabels[] = {
@@ -871,7 +842,8 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   VM_NEXT
 
   VM_CASE(PtrAdd) {
-    R[in->dst].u64 = pointer_add(R[in->a].u64, R[in->b].i64 * in->imm);
+    R[in->dst].u64 =
+        pointer_add(R[in->a].u64, wrap_mul(R[in->b].i64, in->imm));
   }
   VM_NEXT
 
@@ -916,7 +888,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 #define HPLREPRO_RLIDX(NAME, CTYPE, FIELD, EXT)                             \
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr =                                               \
-        pointer_add(R[in->a].u64, R[in->b].i64 * in->imm);                  \
+        pointer_add(R[in->a].u64, wrap_mul(R[in->b].i64, in->imm));         \
     note_access(ptr, sizeof(CTYPE), false,                                  \
                 static_cast<std::uint32_t>(in->aux));                       \
     CTYPE raw;                                                              \
@@ -938,7 +910,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 #define HPLREPRO_RSIDX(NAME, CTYPE, FIELD)                                  \
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr =                                               \
-        pointer_add(R[in->a].u64, R[in->b].i64 * in->imm);                  \
+        pointer_add(R[in->a].u64, wrap_mul(R[in->b].i64, in->imm));         \
     note_access(ptr, sizeof(CTYPE), true,                                   \
                 static_cast<std::uint32_t>(in->aux));                       \
     const CTYPE raw = static_cast<CTYPE>(R[in->c].FIELD);                   \
@@ -960,9 +932,9 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
     R[in->dst].FIELD = (EXPR);                                              \
   }                                                                         \
   VM_NEXT
-  HPLREPRO_RBIN(AddI, i64, a.i64 + b.i64)
-  HPLREPRO_RBIN(SubI, i64, a.i64 - b.i64)
-  HPLREPRO_RBIN(MulI, i64, a.i64 * b.i64)
+  HPLREPRO_RBIN(AddI, i64, wrap_add(a.i64, b.i64))
+  HPLREPRO_RBIN(SubI, i64, wrap_sub(a.i64, b.i64))
+  HPLREPRO_RBIN(MulI, i64, wrap_mul(a.i64, b.i64))
   HPLREPRO_RBIN(DivI, i64, b.i64 == 0 ? 0 : (a.i64 == INT64_MIN && b.i64 == -1 ? a.i64 : a.i64 / b.i64))
   HPLREPRO_RBIN(DivU, u64, b.u64 == 0 ? 0 : a.u64 / b.u64)
   HPLREPRO_RBIN(RemI, i64, b.i64 == 0 ? 0 : (a.i64 == INT64_MIN && b.i64 == -1 ? 0 : a.i64 % b.i64))
@@ -1008,7 +980,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 #define HPLREPRO_RUN1(NAME, STMT)                                           \
   VM_CASE(NAME) { STMT; }                                                   \
   VM_NEXT
-  HPLREPRO_RUN1(NegI, R[in->dst].i64 = -R[in->a].i64)
+  HPLREPRO_RUN1(NegI, R[in->dst].i64 = wrap_neg(R[in->a].i64))
   HPLREPRO_RUN1(NotI, R[in->dst].u64 = ~R[in->a].u64)
   HPLREPRO_RUN1(NegF, R[in->dst].f32 = -R[in->a].f32)
   HPLREPRO_RUN1(NegD, R[in->dst].f64 = -R[in->a].f64)
@@ -1038,7 +1010,8 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
   VM_CASE(MadI) {
     // Integer add commutes, so the operand-order bit is irrelevant here.
-    R[in->dst].i64 = R[in->a].i64 * R[in->b].i64 + R[in->c].i64;
+    R[in->dst].i64 =
+        wrap_add(wrap_mul(R[in->a].i64, R[in->b].i64), R[in->c].i64);
   }
   VM_NEXT
 
@@ -1068,116 +1041,76 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
   VM_NEXT
 
   VM_CASE(Call) {
-    if (vm.frames_.size() >= 64) trap("call stack overflow");
+    if (frames_.size() >= 64) trap("call stack overflow");
     const RegFunction& callee =
-        vm.module_->reg_functions[static_cast<std::size_t>(in->aux)];
+        module_->reg_functions[static_cast<std::size_t>(in->aux)];
     fr->pc = pc;
-    RegFrame next;
+    Frame next;
     next.fn = &callee;
-    next.ret_reg = in->b ? static_cast<std::uint32_t>(fr->base + in->dst)
-                         : kRegNoRet;
-    next.base = vm.regs_.size();
+    next.ret_reg =
+        in->b ? static_cast<std::uint32_t>(fr->base + in->dst) : kNoRet;
+    next.base = regs_.size();
     next.priv_base = fr->priv_base + fn->private_bytes;
     const std::size_t abase = fr->base + in->a;
     // resize value-initializes the new registers (callee locals are zero,
     // like the stack interpreter's fresh slots).
-    vm.regs_.resize(next.base + callee.num_regs);
+    regs_.resize(next.base + callee.num_regs);
     for (std::size_t i = 0; i < callee.num_params; ++i) {
-      vm.regs_[next.base + i] = vm.regs_[abase + i];
+      regs_[next.base + i] = regs_[abase + i];
     }
     if (priv->size() < next.priv_base + callee.private_bytes) {
       priv->resize(next.priv_base + callee.private_bytes);
     }
-    vm.frames_.push_back(next);
-    fr = &vm.frames_.back();
+    frames_.push_back(next);
+    fr = &frames_.back();
     fn = &callee;
     code = fn->code.data();
-    R = vm.regs_.data() + fr->base;
+    R = regs_.data() + fr->base;
     enter_block(0);
   }
   VM_NEXT
 
   VM_CASE(Ret) {
-    bool handled = false;
-    if constexpr (kWG) {
-      if (vm.frames_.size() == 1) {
-        // Kernel-level return: this item is finished. Keep the shared
-        // kernel frame and move the loop to the next unfinished item.
-        vm.done_[cur] = 1;
-        ++vm.done_count_;
-        ++vm.phase_finished_;
-        if (!wg_advance()) return RunStatus::Done;
-        handled = true;
-      }
-    }
-    if (!handled) {
+    if (frames_.size() == 1) {
+      if (!finish_item()) return;
+    } else {
       const Value result = R[in->a];
       const std::uint32_t rr = fr->ret_reg;
-      vm.regs_.resize(fr->base);
-      vm.frames_.pop_back();
-      if (vm.frames_.empty()) return RunStatus::Done;
-      fr = &vm.frames_.back();
-      fn = fr->fn;
-      code = fn->code.data();
-      R = vm.regs_.data() + fr->base;
-      pc = fr->pc;
-      if (rr != kRegNoRet) vm.regs_[rr] = result;
+      pop_frame();
+      if (rr != kNoRet) regs_[rr] = result;
     }
   }
   VM_NEXT
 
   VM_CASE(RetVoid) {
-    bool handled = false;
-    if constexpr (kWG) {
-      if (vm.frames_.size() == 1) {
-        vm.done_[cur] = 1;
-        ++vm.done_count_;
-        ++vm.phase_finished_;
-        if (!wg_advance()) return RunStatus::Done;
-        handled = true;
-      }
-    }
-    if (!handled) {
-      vm.regs_.resize(fr->base);
-      vm.frames_.pop_back();
-      if (vm.frames_.empty()) return RunStatus::Done;
-      fr = &vm.frames_.back();
-      fn = fr->fn;
-      code = fn->code.data();
-      R = vm.regs_.data() + fr->base;
-      pc = fr->pc;
+    if (frames_.size() == 1) {
+      if (!finish_item()) return;
+    } else {
+      pop_frame();
     }
   }
   VM_NEXT
 
   VM_CASE(Barrier) {
-    vm.barrier_flags_ = R[in->a].u64;
     ++stats.barriers_executed;
-    if constexpr (kWG) {
-      // A barrier the front end did not record would have made the kernel
-      // ineligible; mirror the item-mode fast path's trap just in case.
-      if (!vm.uses_barrier_) {
-        trap("kernel reached a barrier not seen at compile time");
-      }
-      // Save the resume block's save list — the live registers a region
-      // reaching this barrier may have modified; the rest already sit in
-      // their spill columns — park the item there, run the next item.
-      const auto resume = static_cast<std::uint32_t>(in->aux);
-      const auto span = vm.save_by_block_[resume];
-      const auto* pairs = vm.spill_pairs_.data() + span.begin;
-      Value* row = vm.spills_.data() + cur * vm.spill_stride_;
-      for (std::uint32_t k = 0; k < span.len; ++k) {
-        row[pairs[k].second] = R[pairs[k].first];
-      }
-      vm.pending_[cur] = resume;
-      ++vm.phase_at_barrier_;
-      if (!wg_advance()) return RunStatus::Barrier;
-    } else {
-      // Suspend: the register file (regs_/frames_) is the saved state; the
-      // resume block is accounted on the next run() call.
-      vm.pending_block_ = static_cast<std::uint32_t>(in->aux);
-      return RunStatus::Barrier;
+    // A barrier the front end did not record makes the kernel ineligible
+    // at build time; trap like the stack interpreter would, just in case.
+    if (!uses_barrier_) {
+      trap("kernel reached a barrier not seen at compile time");
     }
+    // Save the resume block's save list — the live registers a region
+    // reaching this barrier may have modified; the rest already sit in
+    // their spill columns — park the item there, run the next item.
+    const auto resume = static_cast<std::uint32_t>(in->aux);
+    const auto span = save_by_block_[resume];
+    const auto* pairs = spill_pairs_.data() + span.begin;
+    Value* row = spills_.data() + cur * spill_stride_;
+    for (std::uint32_t k = 0; k < span.len; ++k) {
+      row[pairs[k].second] = R[pairs[k].first];
+    }
+    pending_[cur] = resume;
+    ++phase_at_barrier_;
+    if (!advance()) return;
   }
   VM_NEXT
 
@@ -1227,7 +1160,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
         switch (id) {
           case Builtin::Min: v = a[0] < a[1] ? a[0] : a[1]; break;
           case Builtin::Max: v = a[0] > a[1] ? a[0] : a[1]; break;
-          case Builtin::Abs: v = a[0] < 0 ? -a[0] : a[0]; break;
+          case Builtin::Abs: v = wrap_abs(a[0]); break;
           case Builtin::Clamp:
             v = a[0] < a[1] ? a[1] : (a[0] > a[2] ? a[2] : a[0]);
             break;
@@ -1260,7 +1193,7 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 
 #if !HPLREPRO_VM_COMPUTED_GOTO
       default:
-        throw InternalError("RegItemVM: bad opcode");
+        throw InternalError("WorkGroupVM: bad opcode");
     }
   }
 #endif
@@ -1268,29 +1201,20 @@ RunStatus RegRunner::run(VM& vm, const MemoryEnv& mem,
 #undef VM_NEXT
 }
 
-RunStatus RegItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
-                         const WorkItemInfo& item, ExecStats& stats,
-                         MemTracker* tracker) {
-  return RegRunner::run(*this, mem, launch, &item, stats, tracker);
-}
-
 // --- Work-group execution mode ----------------------------------------------
 
 void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
                           std::span<const Value> args,
                           std::size_t group_items) {
-  if (!module.has_wg_form()) {
-    throw InternalError("WorkGroupVM::prepare: module has no wg form");
+  const auto index =
+      static_cast<std::size_t>(&kernel - module.functions.data());
+  if (!module.wg_eligible(index)) {
+    throw InternalError("WorkGroupVM::prepare: kernel not wg-eligible");
   }
   if (args.size() != kernel.params.size()) {
     throw InternalError("WorkGroupVM::prepare: argument count mismatch");
   }
   module_ = &module;
-  const auto index =
-      static_cast<std::size_t>(&kernel - module.functions.data());
-  if (!module.wg_info[index].eligible) {
-    throw InternalError("WorkGroupVM::prepare: kernel not wg-eligible");
-  }
   kernel_fn_ = &module.reg_functions[index];
   wg_ = &module.wg_info[index];
   uses_barrier_ = kernel.uses_barrier;
@@ -1301,7 +1225,7 @@ void WorkGroupVM::prepare(const Module& module, const CompiledFunction& kernel,
 
   // Per-item spill row template: parameter registers get the launch
   // arguments (parameters occupy registers 0..num_params-1), everything
-  // else starts zeroed, matching RegItemVM::reset's fresh register file.
+  // else starts zeroed, matching the stack interpreter's fresh slots.
   const std::size_t live_n = wg_->live_regs.size();
   spill_init_.assign(live_n, Value{});
   for (std::size_t k = 0; k < live_n; ++k) {
@@ -1341,7 +1265,7 @@ void WorkGroupVM::run_group(const MemoryEnv& mem, const LaunchInfo& launch,
                             MemTracker* tracker) {
   const RegFunction& fn = *kernel_fn_;
   frames_.clear();
-  frames_.push_back(RegFrame{&fn, 0, kRegNoRet, 0, 0});
+  frames_.push_back(Frame{&fn, 0, kNoRet, 0, 0});
   regs_.assign(fn.num_regs, Value{});
   // Uniform registers — the ones no instruction writes — keep these values
   // for every item of the group: arguments in the parameter registers,
@@ -1360,16 +1284,15 @@ void WorkGroupVM::run_group(const MemoryEnv& mem, const LaunchInfo& launch,
     privs_[i].assign(kernel_priv_bytes_, std::byte{0});
   }
   done_count_ = 0;
-  barrier_flags_ = 0;
 
-  // One RegRunner phase runs every unfinished item up to its next barrier
-  // (or exit). Items finishing in a phase where others reached a barrier
-  // is the divergent-barrier condition — same trap as the item-mode group
-  // scheduler in clsim.
+  // One phase runs every unfinished item up to its next barrier (or exit).
+  // Items finishing in a phase where others reached a barrier is the
+  // divergent-barrier condition — same trap as the stack interpreter's
+  // group scheduler in clsim.
   while (done_count_ < group_items_) {
     phase_finished_ = 0;
     phase_at_barrier_ = 0;
-    RegRunner::run(*this, mem, launch, items, stats, tracker);
+    run_phase(mem, launch, items, stats, tracker);
     if (phase_at_barrier_ != 0 && phase_finished_ != 0) {
       throw TrapError(
           "divergent barrier: some work-items exited while others wait at a "

@@ -2,13 +2,18 @@
 #define HPLREPRO_CLC_VM_HPP
 
 /// \file vm.hpp
-/// The clc virtual machine: executes one work-item of a compiled kernel.
+/// The clc virtual machines: WorkGroupVM runs the register form of every
+/// kernel the work-group analysis accepts, one whole work-group per call;
+/// WorkItemVM, the stack reference interpreter, runs everything else
+/// (-cl-interp=stack, a failed lowering, a kernel the analysis rejects)
+/// and is the oracle of the differential tests.
 ///
-/// A work-item is a resumable activation: its operand stack, call frames
-/// and private arena are plain data members, so executing `barrier()`
-/// simply returns control to the caller (the clsim group scheduler) with
-/// RunStatus::Barrier; calling run() again resumes after the barrier once
-/// the whole group has arrived. No OS threads or fibers are involved.
+/// A WorkItemVM work-item is a resumable activation: its operand stack,
+/// call frames and private arena are plain data members, so executing
+/// `barrier()` simply returns control to the caller (the clsim group
+/// scheduler) with RunStatus::Barrier; calling run() again resumes after
+/// the barrier once the whole group has arrived. No OS threads or fibers
+/// are involved.
 
 #include <cstddef>
 #include <cstdint>
@@ -99,71 +104,27 @@ private:
   std::uint64_t fuel_ = 1ull << 62;
 };
 
-/// Sentinel "no return register" for RegFrame::ret_reg.
-inline constexpr std::uint32_t kRegNoRet = 0xFFFFFFFFu;
-
-/// A call frame of the register interpreters (RegItemVM / WorkGroupVM).
-struct RegFrame {
-  const RegFunction* fn = nullptr;
-  std::uint32_t pc = 0;        // saved across calls; live in run()'s locals
-  std::uint32_t ret_reg = kRegNoRet;  // absolute index into regs_, or kRegNoRet
-  std::size_t base = 0;        // this frame's register window in regs_
-  std::size_t priv_base = 0;
-};
-
-/// The shared direct-threaded dispatch loop behind RegItemVM (one
-/// activation per work-item) and WorkGroupVM (one activation per group,
-/// pocl-style work-item loops). Defined in vm.cpp.
-struct RegRunner;
-
-/// Executes the register form (Module::reg_functions) produced by
-/// lower_module with a direct-threaded dispatch loop (computed goto under
-/// GCC/Clang; define HPLREPRO_VM_FORCE_SWITCH to get the portable switch
-/// loop). Drop-in equivalent of WorkItemVM: bit-identical results,
-/// identical ExecStats (accounted per basic block from the histograms
-/// precomputed at lowering time), identical trap messages, and the same
-/// barrier suspend/resume protocol — a suspended item is just the saved
-/// register file plus the block cursor to resume at.
-class RegItemVM {
-public:
-  void reset(const Module& module, const CompiledFunction& kernel,
-             std::span<const Value> args);
-
-  RunStatus run(const MemoryEnv& mem, const LaunchInfo& launch,
-                const WorkItemInfo& item, ExecStats& stats,
-                MemTracker* tracker);
-
-  std::uint64_t barrier_flags() const { return barrier_flags_; }
-  void set_fuel(std::uint64_t fuel) { fuel_ = fuel; }
-
-private:
-  friend struct RegRunner;
-
-  const Module* module_ = nullptr;
-  std::vector<Value> regs_;
-  std::vector<RegFrame> frames_;
-  std::vector<std::byte> private_arena_;
-  std::uint64_t barrier_flags_ = 0;
-  std::uint64_t fuel_ = 1ull << 62;
-  std::uint32_t pending_block_ = 0;  // block to account+enter on next run()
-};
-
-/// Work-group execution mode (the -cl-wg-loops tentpole): runs all items
-/// of a work-group on ONE activation by looping each barrier-delimited
-/// region over the group — no per-item reset(), no per-item register
-/// files, no suspend/resume machinery. Per-item state is reduced to the
-/// spill rows of the registers live across region boundaries (WgInfo,
-/// computed at build time by analyze_wg_loops) plus a private arena for
-/// kernels that use private memory.
+/// The register interpreter: executes the register form
+/// (Module::reg_functions) produced by lower_module with a direct-threaded
+/// dispatch loop (computed goto under GCC/Clang; define
+/// HPLREPRO_VM_FORCE_SWITCH to get the portable switch loop), running all
+/// items of a work-group on ONE activation by looping each
+/// barrier-delimited region over the group (pocl-style work-item loops) —
+/// no per-item register files and no suspend/resume machinery. Per-item
+/// state is reduced to the spill rows of the registers live across region
+/// boundaries (WgInfo, computed at build time by analyze_wg_loops) plus a
+/// private arena per item.
 ///
-/// Fuel and ExecStats accounting stay field-identical to RegItemVM: the
-/// fuel budget is debited per item per region (each item-region entry
-/// resets the local budget, exactly like a per-item run() call), and the
-/// block histograms are accounted per entered block as before.
+/// Drop-in equivalent of WorkItemVM, the stack reference interpreter:
+/// bit-identical results, identical ExecStats (accounted per basic block
+/// from the histograms precomputed at lowering time), identical trap
+/// messages. The fuel budget is debited per item per region (each
+/// item-region entry gets the full budget, exactly like one WorkItemVM
+/// run() call between barriers).
 class WorkGroupVM {
 public:
-  /// Binds the VM to a kernel (must be wg-eligible per module.wg_info) and
-  /// its launch arguments for groups of `group_items` work-items. Called
+  /// Binds the VM to a kernel (must satisfy module.wg_eligible) and its
+  /// launch arguments for groups of `group_items` work-items. Called
   /// once per launch chunk; run_group reuses all scratch across groups.
   void prepare(const Module& module, const CompiledFunction& kernel,
                std::span<const Value> args, std::size_t group_items);
@@ -186,7 +147,22 @@ public:
   std::uint64_t regions_executed() const { return regions_executed_; }
 
 private:
-  friend struct RegRunner;
+  /// Sentinel "no return register" for Frame::ret_reg.
+  static constexpr std::uint32_t kNoRet = 0xFFFFFFFFu;
+
+  struct Frame {
+    const RegFunction* fn = nullptr;
+    std::uint32_t pc = 0;  // saved across calls; live in run_phase's locals
+    std::uint32_t ret_reg = kNoRet;  // absolute index into regs_, or kNoRet
+    std::size_t base = 0;            // this frame's register window in regs_
+    std::size_t priv_base = 0;
+  };
+
+  /// The dispatch loop: runs every unfinished item of the group up to its
+  /// next barrier or its exit (one phase of run_group).
+  void run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
+                 const WorkItemInfo* items, ExecStats& stats,
+                 MemTracker* tracker);
 
   const Module* module_ = nullptr;
   const RegFunction* kernel_fn_ = nullptr;
@@ -196,7 +172,7 @@ private:
   std::size_t group_items_ = 0;
 
   std::vector<Value> regs_;       // ONE shared register file for the group
-  std::vector<RegFrame> frames_;
+  std::vector<Frame> frames_;
   std::vector<Value> args_;        // launch arguments, installed per group
   std::vector<Value> spill_init_;  // per-item row template: args/zeros
   std::vector<Value> spills_;      // group_items x live_regs rows
@@ -216,7 +192,6 @@ private:
   std::vector<std::vector<std::byte>> privs_;  // per-item private arenas
   std::vector<std::uint32_t> pending_;  // per-item resume block
   std::vector<char> done_;
-  std::uint64_t barrier_flags_ = 0;
   std::uint64_t fuel_ = 1ull << 62;
 
   // Phase bookkeeping for the divergent-barrier trap.

@@ -159,7 +159,7 @@ WgInfo analyze_kernel(const Module& module, std::size_t index) {
   if (fn.blocks.empty() || fn.code.empty()) return info;
   if (callee_has_barrier(module, index)) return info;
   // Defensive: a barrier the front end did not record means the executor
-  // would take the fast path and trap; keep per-item semantics for it.
+  // would take the fast path and trap; leave that to the stack interpreter.
   if (has_direct_barrier(fn) && !module.functions[index].uses_barrier) {
     return info;
   }
@@ -244,7 +244,7 @@ WgInfo analyze_kernel(const Module& module, std::size_t index) {
     if (term.op == RegOp::Barrier) {
       // The VM treats pending block 0 as "fresh item" (restore from the
       // argument image); lower_module never resumes at the entry block, so
-      // a kernel that somehow does is left on the per-item path.
+      // a kernel that somehow does is left to the stack interpreter.
       if (term.aux == 0) return info;
       ++regions;
       live_union.or_with(live_in[static_cast<std::size_t>(term.aux)]);

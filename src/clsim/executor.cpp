@@ -16,7 +16,6 @@ namespace hplrepro::clsim {
 using clc::ExecStats;
 using clc::LaunchInfo;
 using clc::MemoryEnv;
-using clc::RegItemVM;
 using clc::RunStatus;
 using clc::WorkGroupVM;
 using clc::WorkItemInfo;
@@ -105,10 +104,10 @@ struct GroupGrid {
 
 /// Runs all work-items of one work-group to completion, honouring
 /// barriers. Reuses the caller's VM pool, local arena and phase-tracking
-/// scratch across groups. `VM` is WorkItemVM (stack form), RegItemVM
-/// (register form) — both expose the same reset/run/set_fuel protocol —
-/// or WorkGroupVM, which executes the whole group itself via work-item
-/// loops (one prepare per chunk, one run_group call per group).
+/// scratch across groups. `VM` is WorkGroupVM, which executes the whole
+/// group itself via work-item loops (one prepare per chunk, one run_group
+/// call per group), or WorkItemVM, the stack reference interpreter, with
+/// one activation per item and the barrier phase loop below.
 template <class VM>
 class GroupRunner {
 public:
@@ -147,7 +146,7 @@ public:
   }
 
   /// Work-item loop trips / item-region executions accumulated by this
-  /// runner's VM (wg mode only; zero otherwise). Feed the vm.wg_loop_trips
+  /// runner's VM (WorkGroupVM only; zero otherwise). Feed the vm.wg_loop_trips
   /// and vm.regions metrics.
   std::uint64_t wg_loop_trips() const {
     if constexpr (kIsWG) {
@@ -341,8 +340,8 @@ LaunchResult execute_ndrange(const clc::Module& module,
 
   ExecStats total_stats;
   std::mutex stats_mutex;
-  std::uint64_t wg_trips = 0;    // work-item loop trips (wg mode only)
-  std::uint64_t wg_regions = 0;  // item-region executions (wg mode only)
+  std::uint64_t wg_trips = 0;    // work-item loop trips (WorkGroupVM only)
+  std::uint64_t wg_regions = 0;  // item-region executions (WorkGroupVM only)
   const std::uint64_t fuel = work_item_fuel();  // one snapshot per launch
 
   auto run_with = [&](auto vm_tag) {
@@ -367,19 +366,14 @@ LaunchResult execute_ndrange(const clc::Module& module,
           wg_regions += runner.wg_regions();
         });
   };
-  // Modules built with -cl-interp=threaded carry the register form; run it
-  // with the direct-threaded VM — in work-group mode (work-item loops) when
-  // the build's -cl-wg-loops analysis marked this kernel eligible, else one
-  // item per activation. Stack-only modules (or lowering fallback) use the
+  // Kernels the build lowered to register form and the work-group
+  // analysis accepted run on the register VM as work-item loops; the rest
+  // (-cl-interp=stack, a failed lowering, a rejected kernel) run on the
   // reference stack interpreter.
-  const auto kernel_index =
-      static_cast<std::size_t>(&kernel - module.functions.data());
-  const bool use_wg =
-      module.has_wg_form() && module.wg_info[kernel_index].eligible;
+  const bool use_wg = module.wg_eligible(
+      static_cast<std::size_t>(&kernel - module.functions.data()));
   if (use_wg) {
     run_with(std::type_identity<WorkGroupVM>{});
-  } else if (module.has_reg_form()) {
-    run_with(std::type_identity<RegItemVM>{});
   } else {
     run_with(std::type_identity<WorkItemVM>{});
   }

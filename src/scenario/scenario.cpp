@@ -249,12 +249,8 @@ std::string Cell::label() const {
 }
 
 std::string Cell::build_options() const {
-  const std::string fusion_token =
-      std::string(" -cl-fusion=") + (fusion ? "on" : "off");
-  if (interp == "threaded-wg-off") {
-    return opt + " -cl-interp=threaded -cl-wg-loops=off" + fusion_token;
-  }
-  return opt + " -cl-interp=" + interp + fusion_token;
+  return opt + " -cl-interp=" + interp + " -cl-fusion=" +
+         (fusion ? "on" : "off");
 }
 
 bool CellReport::passed() const {

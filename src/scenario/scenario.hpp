@@ -6,7 +6,7 @@
 /// enumerates every configuration the runtime actually exposes —
 ///
 ///   device {CPU, Tesla, Quadro} × sync {HPL_SYNC=0,1} ×
-///   interpreter {-cl-interp=stack, threaded, threaded -cl-wg-loops=off} ×
+///   interpreter {-cl-interp=stack, threaded} ×
 ///   opt {-O0,-O2} × fusion {-cl-fusion=on,off} × size
 ///
 /// — runs every benchsuite workload (the five paper benchmarks plus the
@@ -39,10 +39,9 @@ namespace hplrepro::scenario {
 struct Axes {
   std::vector<std::string> devices = {"CPU", "Tesla", "Quadro"};
   std::vector<bool> async_modes = {true, false};
-  /// "threaded-wg-off" is the register interpreter with the work-group
-  /// loop pass disabled: it must be observationally identical to
-  /// "threaded", which the profile-identity grade enforces.
-  std::vector<std::string> interps = {"stack", "threaded", "threaded-wg-off"};
+  /// The stack reference interpreter and the register (work-group) VM:
+  /// observationally identical, which the profile-identity grade enforces.
+  std::vector<std::string> interps = {"stack", "threaded"};
   std::vector<std::string> opts = {"-O0", "-O2"};
   /// Lazy-DAG kernel fusion on/off (the "-cl-fusion" build option). The
   /// benchsuite kernels are all fusion-ineligible (multi-statement), so
@@ -52,9 +51,9 @@ struct Axes {
   std::vector<bool> fusion_modes = {true, false};
   std::vector<std::string> sizes = {"small", "large"};
 
-  /// The full matrix: 3 × 2 × 3 × 2 × 2 × 2 = 144 cells.
+  /// The full matrix: 3 × 2 × 2 × 2 × 2 × 2 = 96 cells.
   static Axes full();
-  /// The reduced matrix for ctest/CI: small sizes only (72 cells).
+  /// The reduced matrix for ctest/CI: small sizes only (48 cells).
   static Axes reduced();
 
   std::size_t cell_count() const {

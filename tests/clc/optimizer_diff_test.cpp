@@ -1,17 +1,16 @@
-// Four-way differential harness over the interpreter/optimizer matrix:
+// Three-way differential harness over the interpreter/optimizer matrix:
 //   O0 stack  vs  O2 stack       — the optimizer pipeline contract
 //                                  (bit-identical outputs, never more ops);
-//   O2 stack  vs  O2 threaded    — the register-lowering contract
-//                                  (bit-identical outputs AND field-by-field
-//                                  identical ExecStats: the block-level
-//                                  accounting must sum to exactly what the
-//                                  stack interpreter counts per instruction);
-//   O2 threaded -cl-wg-loops=off vs on — the work-group-compilation
-//                                  contract (running barrier regions as
-//                                  work-item loops on one activation keeps
-//                                  bits AND every counter, fuel semantics
-//                                  included, identical to per-item runs).
-// Every kernel in both corpora runs through all four configurations;
+//   O2 stack  vs  O2 threaded    — the register-lowering and
+//                                  work-group-compilation contract: the
+//                                  register VM runs barrier regions as
+//                                  work-item loops on one activation, and
+//                                  must keep the outputs bit-identical AND
+//                                  every ExecStats field identical (the
+//                                  block-level accounting must sum to
+//                                  exactly what the stack interpreter counts
+//                                  per instruction, per item).
+// Every kernel in both corpora runs through all three configurations;
 // semantics preservation down to the last bit, with measurable savings.
 
 #include <gtest/gtest.h>
@@ -40,6 +39,7 @@ struct DiffRun {
   std::vector<std::uint32_t> words;  // output buffer as raw 32-bit words
   clc::ExecStats stats;
   std::size_t static_instrs = 0;
+  std::string build_log;
 };
 
 /// Runs `kernel_name` over `global` items with one uint buffer of
@@ -57,6 +57,7 @@ DiffRun run_diff(const std::string& source, const std::string& kernel_name,
 
   clsim::Program program(context, source);
   program.build(options);
+  run.build_log = program.build_log();
   for (const auto& fn : program.module().functions) {
     run.static_instrs += fn.code.size();
   }
@@ -292,9 +293,6 @@ TEST_P(OptimizerDiffLanguage, BitIdenticalAndNoMoreOps) {
                               ck.global, ck.local, "-O0 -cl-interp=stack");
   const DiffRun o2 = run_diff(ck.source, ck.kernel_name, ck.words,
                               ck.global, ck.local, "-O2 -cl-interp=stack");
-  const DiffRun reg =
-      run_diff(ck.source, ck.kernel_name, ck.words, ck.global, ck.local,
-               "-O2 -cl-interp=threaded -cl-wg-loops=off");
   const DiffRun wg = run_diff(ck.source, ck.kernel_name, ck.words,
                               ck.global, ck.local, "-O2 -cl-interp=threaded");
 
@@ -305,13 +303,10 @@ TEST_P(OptimizerDiffLanguage, BitIdenticalAndNoMoreOps) {
   EXPECT_LE(o2.stats.total_ops(), o0.stats.total_ops()) << ck.label;
   EXPECT_LE(o2.static_instrs, o0.static_instrs) << ck.label;
 
-  // Register interpreter: same bytecode, same bits, same counters.
-  EXPECT_EQ(o2.words, reg.words) << ck.label;
-  expect_stats_identical(o2.stats, reg.stats, ck.label);
-
-  // Work-group compilation: same bits, same counters again.
-  EXPECT_EQ(reg.words, wg.words) << ck.label;
-  expect_stats_identical(reg.stats, wg.stats, ck.label);
+  // Register VM (work-item loops): same bytecode, same bits, same
+  // counters.
+  EXPECT_EQ(o2.words, wg.words) << ck.label;
+  expect_stats_identical(o2.stats, wg.stats, ck.label);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -352,19 +347,14 @@ TEST_P(OptimizerDiffBenchsuite, BitIdenticalAndNoMoreOps) {
       bs::run_corpus_kernel(name, device, "-O0 -cl-interp=stack");
   const bs::CorpusRun o2 =
       bs::run_corpus_kernel(name, device, "-O2 -cl-interp=stack");
-  const bs::CorpusRun reg = bs::run_corpus_kernel(
-      name, device, "-O2 -cl-interp=threaded -cl-wg-loops=off");
   const bs::CorpusRun wg =
       bs::run_corpus_kernel(name, device, "-O2 -cl-interp=threaded");
 
   // The interpreter swap has no float tolerance at all: both execute the
   // same O2 bytecode, so even EP's transcendental outputs must be
-  // bit-for-bit equal, and every dynamic counter must match. The same
-  // holds for the work-item-loop execution of that bytecode.
-  EXPECT_EQ(o2.outputs, reg.outputs) << name;
-  expect_stats_identical(o2.stats, reg.stats, name);
-  EXPECT_EQ(reg.outputs, wg.outputs) << name;
-  expect_stats_identical(reg.stats, wg.stats, name);
+  // bit-for-bit equal, and every dynamic counter must match.
+  EXPECT_EQ(o2.outputs, wg.outputs) << name;
+  expect_stats_identical(o2.stats, wg.stats, name);
 
   ASSERT_EQ(o0.outputs.size(), o2.outputs.size());
   for (std::size_t b = 0; b < o0.outputs.size(); ++b) {
@@ -480,13 +470,13 @@ TEST(OptimizerDiff, HplRejectsUnknownBuildOptions) {
   EXPECT_EQ(HPL::kernel_build_options(), "");
 }
 
-// A suspended work-item in the register interpreter is nothing but its
-// saved register file plus the block cursor to resume at. This kernel
-// carries live private state (float, double and integer accumulators) in
-// registers across eight barrier suspensions, exchanging data through
-// __local in between; any register lost or clobbered during a
-// suspend/resume cycle changes the output bits. Stack and threaded runs
-// must agree exactly, and must have actually suspended (barriers > 0).
+// A work-item parked at a barrier in the register VM is nothing but its
+// spill row plus the block to resume at. This kernel carries live private
+// state (float, double and integer accumulators) in registers across
+// sixteen barriers, exchanging data through __local in between; any value
+// lost across a region switch, or a spill row clobbered by another item,
+// changes the output bits. Stack and threaded runs must agree exactly, and
+// must have actually crossed the barriers.
 TEST(OptimizerDiff, BarrierResumePreservesRegisterFile) {
   const std::string source = R"CLC(
 __kernel void relay(__global uint* out) {
@@ -512,27 +502,52 @@ __kernel void relay(__global uint* out) {
 )CLC";
   const DiffRun stack =
       run_diff(source, "relay", 64 * 3, 64, 16, "-O2 -cl-interp=stack");
-  const DiffRun reg = run_diff(source, "relay", 64 * 3, 64, 16,
-                               "-O2 -cl-interp=threaded -cl-wg-loops=off");
   const DiffRun wg =
       run_diff(source, "relay", 64 * 3, 64, 16, "-O2 -cl-interp=threaded");
-  EXPECT_EQ(stack.words, reg.words);
-  expect_stats_identical(stack.stats, reg.stats, "relay");
-  // Work-group compilation replaces the suspend/resume machinery with
-  // per-region spill rows; any value lost across a region switch (or a
-  // spill row clobbered by another item) changes the bits.
-  EXPECT_EQ(reg.words, wg.words);
-  expect_stats_identical(reg.stats, wg.stats, "relay");
+  EXPECT_EQ(stack.words, wg.words);
+  expect_stats_identical(stack.stats, wg.stats, "relay");
   // 64 items x 16 barrier executions each (2 per round x 8 rounds).
-  EXPECT_EQ(reg.stats.barriers_executed, 64u * 16u);
+  EXPECT_EQ(stack.stats.barriers_executed, 64u * 16u);
   EXPECT_EQ(wg.stats.barriers_executed, 64u * 16u);
 }
 
+// A barrier reached through a helper call cannot be split into top-level
+// regions, so the work-group analysis rejects the kernel
+// (WgLoops.BarrierInHelperMakesKernelIneligible). The default build must
+// still run it — on the stack interpreter, bit- and stats-identical to an
+// explicit -cl-interp=stack build — and say so in the build log.
+TEST(OptimizerDiff, BarrierInHelperFallsBackToStack) {
+  const std::string source = R"CLC(
+void sync_and_store(__local uint* tile, uint lid, uint v) {
+  tile[lid] = v;
+  barrier(CLK_LOCAL_MEM_FENCE);
+}
+
+__kernel void k(__global uint* out) {
+  __local uint tile[16];
+  uint lid = (uint)get_local_id(0);
+  sync_and_store(tile, lid, lid * 2u);
+  out[lid] = tile[15u - lid];
+}
+)CLC";
+  const DiffRun fallback = run_diff(source, "k", 16, 16, 16, "");
+  const DiffRun stack =
+      run_diff(source, "k", 16, 16, 16, "-cl-interp=stack");
+  EXPECT_EQ(fallback.words, stack.words);
+  expect_stats_identical(fallback.stats, stack.stats, "barrier_in_helper");
+  EXPECT_EQ(fallback.stats.barriers_executed, 16u);
+  EXPECT_EQ(fallback.words[0], 30u);  // tile[15] = 15 * 2
+  EXPECT_NE(fallback.build_log.find("kernel 'k'"), std::string::npos)
+      << fallback.build_log;
+  EXPECT_NE(fallback.build_log.find("stack interpreter"), std::string::npos)
+      << fallback.build_log;
+}
+
 // A barrier inside a divergent branch must trap — not deadlock, not
-// silently release — in BOTH execution modes. The work-item-loop mode has
-// its own phase bookkeeping (items finishing while others park at a
-// barrier), so it gets its own regression here, next to the item-mode
-// scheduler's.
+// silently release — on BOTH interpreters. The register VM's work-item
+// loops have their own phase bookkeeping (items finishing while others
+// park at a barrier), separate from the stack interpreter's group
+// scheduler in clsim, so each gets its own regression here.
 TEST(OptimizerDiff, DivergentBarrierTrapsInBothModes) {
   const std::string source = R"CLC(
 __kernel void diverge(__global uint* out) {
@@ -544,8 +559,7 @@ __kernel void diverge(__global uint* out) {
 }
 )CLC";
   for (const char* options :
-       {"-O2 -cl-interp=threaded -cl-wg-loops=off",
-        "-O2 -cl-interp=threaded"}) {
+       {"-O2 -cl-interp=stack", "-O2 -cl-interp=threaded"}) {
     EXPECT_THROW(run_diff(source, "diverge", 16, 16, 16, options),
                  clc::TrapError)
         << options;

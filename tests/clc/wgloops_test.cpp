@@ -2,8 +2,8 @@
 // build-time pass that splits a kernel's register code at barriers into
 // regions and computes the per-item spill set the work-group VM carries
 // across region boundaries. These check the analysis artifacts (WgInfo)
-// directly; the execution contract (bit/stats identity against per-item
-// activations) lives in optimizer_diff_test.cpp.
+// directly; the execution contract (bit/stats identity against the stack
+// interpreter) lives in optimizer_diff_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -43,12 +43,12 @@ __kernel void k(__global uint* out) {
 }
 )CLC";
 
-// Work-group compilation is the default under the threaded interpreter:
-// a -O2 build carries a wg form and marks a plain barrier kernel
-// eligible, with one region per barrier resume point plus the entry.
+// Work-group compilation always follows a successful lowering: a -O2
+// build carries a wg form and marks a plain barrier kernel eligible, with
+// one region per barrier resume point plus the entry.
 TEST(WgLoops, DefaultBuildCarriesEligibleTwoRegionForm) {
   const clc::Module m = compile_with(kTwoRegionKernel, "-O2");
-  ASSERT_TRUE(m.has_wg_form());
+  ASSERT_EQ(m.wg_info.size(), m.functions.size());
   const clc::WgInfo& info = kernel_info(m, "k");
   EXPECT_TRUE(info.eligible);
   EXPECT_EQ(info.region_count, 2u);
@@ -59,7 +59,7 @@ TEST(WgLoops, BarrierFreeKernelIsOneRegion) {
   const clc::Module m = compile_with(
       "__kernel void k(__global uint* out) { out[get_global_id(0)] = 1u; }",
       "-O2");
-  ASSERT_TRUE(m.has_wg_form());
+  ASSERT_EQ(m.wg_info.size(), m.functions.size());
   const clc::WgInfo& info = kernel_info(m, "k");
   EXPECT_TRUE(info.eligible);
   EXPECT_EQ(info.region_count, 1u);
@@ -124,20 +124,16 @@ TEST(WgLoops, SaveListsAreSubsetsOfRestoreLists) {
   }
 }
 
-TEST(WgLoops, WgLoopsOffBuildsNoWgForm) {
-  const clc::Module m =
-      compile_with(kTwoRegionKernel, "-O2 -cl-wg-loops=off");
-  EXPECT_TRUE(m.has_reg_form());
-  EXPECT_FALSE(m.has_wg_form());
-}
-
 TEST(WgLoops, StackInterpreterBuildsNoWgForm) {
   const clc::Module m = compile_with(kTwoRegionKernel, "-O2 -cl-interp=stack");
-  EXPECT_FALSE(m.has_wg_form());
+  EXPECT_FALSE(m.has_reg_form());
+  EXPECT_TRUE(m.wg_info.empty());
+  EXPECT_FALSE(m.wg_eligible(0));
 }
 
 // A barrier reached through a helper call cannot be split into top-level
-// regions; the kernel must fall back to per-item activations.
+// regions; the kernel falls back to the stack interpreter
+// (OptimizerDiff.BarrierInHelperFallsBackToStack runs it).
 TEST(WgLoops, BarrierInHelperMakesKernelIneligible) {
   const clc::Module m = compile_with(R"CLC(
 void sync_and_store(__local uint* tile, uint lid, uint v) {
@@ -153,7 +149,7 @@ __kernel void k(__global uint* out) {
 }
 )CLC",
                                      "-O2");
-  ASSERT_TRUE(m.has_wg_form());
+  ASSERT_EQ(m.wg_info.size(), m.functions.size());
   const clc::WgInfo& info = kernel_info(m, "k");
   EXPECT_FALSE(info.eligible);
 }

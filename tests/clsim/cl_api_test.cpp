@@ -156,9 +156,13 @@ TEST(ClApi, BuildOptionsAcceptedAndValidated) {
       clCreateProgramWithSource(context, 1, &src, nullptr, &err);
   ASSERT_EQ(err, CL_SUCCESS);
 
-  // Unknown options are rejected up front, before any compilation.
-  EXPECT_EQ(clBuildProgram(program, 1, &device, "-fbogus", nullptr, nullptr),
-            CL_INVALID_BUILD_OPTIONS);
+  // Unknown options are rejected up front, before any compilation. The
+  // removed work-item-loop switch is unknown too.
+  for (const char* options : {"-fbogus", "-cl-wg-loops=off"}) {
+    EXPECT_EQ(clBuildProgram(program, 1, &device, options, nullptr, nullptr),
+              CL_INVALID_BUILD_OPTIONS)
+        << options;
+  }
 
   // Real driver options select the optimization level.
   EXPECT_EQ(clBuildProgram(program, 1, &device, "-cl-opt-disable", nullptr,

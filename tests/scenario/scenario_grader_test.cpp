@@ -30,27 +30,26 @@ TEST(ScenarioGrader, CellLabelAndBuildOptions) {
   EXPECT_EQ(cell.label(), "Tesla/sync/threaded/-O0/small/fused");
   EXPECT_EQ(cell.build_options(), "-O0 -cl-interp=threaded -cl-fusion=on");
 
-  const scenario::Cell wg_off{"Tesla", true, "threaded-wg-off", "-O2",
-                              "small", false};
-  EXPECT_EQ(wg_off.label(), "Tesla/async/threaded-wg-off/-O2/small/nofuse");
-  EXPECT_EQ(wg_off.build_options(),
-            "-O2 -cl-interp=threaded -cl-wg-loops=off -cl-fusion=off");
+  const scenario::Cell stack{"Quadro", true, "stack", "-O2", "small",
+                             false};
+  EXPECT_EQ(stack.label(), "Quadro/async/stack/-O2/small/nofuse");
+  EXPECT_EQ(stack.build_options(), "-O2 -cl-interp=stack -cl-fusion=off");
 }
 
 TEST(ScenarioGrader, ReducedMatrixGradesClean) {
   const scenario::Axes axes = scenario::Axes::reduced();
-  // 3 devices x 2 sync x 3 interp x 2 opt x 2 fusion
-  ASSERT_EQ(axes.cell_count(), 72u);
+  // 3 devices x 2 sync x 2 interp x 2 opt x 2 fusion
+  ASSERT_EQ(axes.cell_count(), 48u);
 
   const scenario::SweepReport report = scenario::run_sweep(axes);
 
   EXPECT_TRUE(report.ok());
-  EXPECT_EQ(report.cells.size(), 72u);
-  // 72 cells x 8 workloads, minus EP on the 24 Quadro cells (no doubles).
-  EXPECT_EQ(report.graded, 552u);
-  EXPECT_EQ(report.passed, 552u);
+  EXPECT_EQ(report.cells.size(), 48u);
+  // 48 cells x 8 workloads, minus EP on the 16 Quadro cells (no doubles).
+  EXPECT_EQ(report.graded, 368u);
+  EXPECT_EQ(report.passed, 368u);
   EXPECT_EQ(report.failed, 0u);
-  EXPECT_EQ(report.skipped, 24u);
+  EXPECT_EQ(report.skipped, 16u);
   EXPECT_TRUE(report.identity_failures.empty());
 
   for (const auto& cell : report.cells) {
