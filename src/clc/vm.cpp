@@ -103,6 +103,61 @@ float apply_math_builtin_f(Builtin id, const float* a) {
 
 // is_transcendental lives in builtins.cpp (shared with the lowering pass).
 
+[[noreturn]] void trap(const char* what) { throw TrapError(what); }
+
+// Resolves a pointer to host memory, bounds-checked. Both interpreters
+// call it, so they raise the same traps.
+inline std::byte* resolve(const MemoryEnv& mem, std::vector<std::byte>& priv,
+                          std::uint64_t ptr, std::size_t size) {
+  const std::uint64_t offset = pointer_offset(ptr);
+  switch (pointer_space(ptr)) {
+    case PtrSpace::Global:
+    case PtrSpace::Constant: {
+      const std::uint64_t buffer = pointer_buffer(ptr);
+      if (buffer >= mem.buffers.size()) trap("bad buffer index");
+      auto span = mem.buffers[buffer];
+      if (offset + size > span.size()) trap("global access out of bounds");
+      return span.data() + offset;
+    }
+    case PtrSpace::Local:
+      if (offset + size > mem.local.size()) trap("local access out of bounds");
+      return mem.local.data() + offset;
+    case PtrSpace::Private:
+      if (offset + size > priv.size()) trap("private access out of bounds");
+      return priv.data() + offset;
+  }
+  trap("bad pointer space");
+}
+
+// Accounts a memory access in the stats and the coalescing tracker. Called
+// after resolve(), so the tracker only ever sees in-bounds offsets.
+inline void note_access(ExecStats& stats, MemTracker* tracker,
+                        std::uint64_t item_linear, std::uint64_t ptr,
+                        std::uint32_t size, bool store, std::uint32_t pc_key) {
+  switch (pointer_space(ptr)) {
+    case PtrSpace::Global:
+    case PtrSpace::Constant:
+      if (store) {
+        stats.global_store_bytes += size;
+      } else {
+        stats.global_load_bytes += size;
+      }
+      ++stats.global_accesses;
+      if (tracker) {
+        tracker->global_access(pc_key, item_linear, pointer_buffer(ptr),
+                               pointer_offset(ptr), size, store);
+      }
+      break;
+    case PtrSpace::Local:
+      stats.local_bytes += size;
+      ++stats.local_accesses;
+      break;
+    case PtrSpace::Private:
+      stats.private_bytes += size;
+      break;
+  }
+}
+
 }  // namespace
 
 void WorkItemVM::reset(const Module& module, const CompiledFunction& kernel,
@@ -127,8 +182,6 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
   std::uint64_t fuel = fuel_;
 
   // Local aliases for the hot loop.
-  auto trap = [](const char* what) -> void { throw TrapError(what); };
-
   auto push = [&](Value v) { stack_.push_back(v); };
   auto pop = [&]() -> Value {
     Value v = stack_.back();
@@ -136,61 +189,6 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
     return v;
   };
   auto top = [&]() -> Value& { return stack_.back(); };
-
-  // Resolves a pointer to host memory, bounds-checked.
-  auto resolve = [&](std::uint64_t ptr, std::size_t size) -> std::byte* {
-    const std::uint64_t offset = pointer_offset(ptr);
-    switch (pointer_space(ptr)) {
-      case PtrSpace::Global:
-      case PtrSpace::Constant: {
-        const std::uint64_t buffer = pointer_buffer(ptr);
-        if (buffer >= mem.buffers.size()) trap("bad buffer index");
-        auto span = mem.buffers[buffer];
-        if (offset + size > span.size()) trap("global access out of bounds");
-        return span.data() + offset;
-      }
-      case PtrSpace::Local:
-        if (offset + size > mem.local.size()) {
-          trap("local access out of bounds");
-        }
-        return mem.local.data() + offset;
-      case PtrSpace::Private:
-        if (offset + size > private_arena_.size()) {
-          trap("private access out of bounds");
-        }
-        return private_arena_.data() + offset;
-    }
-    trap("bad pointer space");
-    return nullptr;
-  };
-
-  // Accounts a memory access in the stats and coalescing tracker.
-  auto note_access = [&](std::uint64_t ptr, std::uint32_t size, bool store,
-                         std::uint32_t pc_key) {
-    switch (pointer_space(ptr)) {
-      case PtrSpace::Global:
-      case PtrSpace::Constant:
-        if (store) {
-          stats.global_store_bytes += size;
-        } else {
-          stats.global_load_bytes += size;
-        }
-        ++stats.global_accesses;
-        if (tracker) {
-          tracker->global_access(pc_key, item.linear_in_group,
-                                 pointer_buffer(ptr), pointer_offset(ptr),
-                                 size, store);
-        }
-        break;
-      case PtrSpace::Local:
-        stats.local_bytes += size;
-        ++stats.local_accesses;
-        break;
-      case PtrSpace::Private:
-        stats.private_bytes += size;
-        break;
-    }
-  };
 
   while (!frames_.empty()) {
     Frame& frame = frames_.back();
@@ -276,9 +274,12 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
 #define HPLREPRO_LOAD_CASE(OPNAME, CTYPE, FIELD, EXT)                       \
   case Op::OPNAME: {                                                        \
     const std::uint64_t ptr = pop().u64;                                    \
-    note_access(ptr, sizeof(CTYPE), false, pc_key);                         \
+    const std::byte* src =                                                  \
+        resolve(mem, private_arena_, ptr, sizeof(CTYPE));                   \
+    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
+                false, pc_key);                                             \
     CTYPE raw;                                                              \
-    std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
+    std::memcpy(&raw, src, sizeof(CTYPE));                                  \
     Value v;                                                                \
     v.FIELD = EXT(raw);                                                     \
     push(v);                                                                \
@@ -299,9 +300,11 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
   case Op::OPNAME: {                                                        \
     const Value v = pop();                                                  \
     const std::uint64_t ptr = pop().u64;                                    \
-    note_access(ptr, sizeof(CTYPE), true, pc_key);                          \
+    std::byte* dst = resolve(mem, private_arena_, ptr, sizeof(CTYPE));      \
+    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
+                true, pc_key);                                              \
     const CTYPE raw = static_cast<CTYPE>(v.FIELD);                          \
-    std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
+    std::memcpy(dst, &raw, sizeof(CTYPE));                                  \
     break;                                                                  \
   }
       HPLREPRO_STORE_CASE(StoreI8, std::int8_t, i64)
@@ -536,9 +539,12 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
     const std::int64_t index = pop().i64;                                   \
     const std::uint64_t ptr =                                               \
         pointer_add(pop().u64, wrap_mul(index, instr.a));                   \
-    note_access(ptr, sizeof(CTYPE), false, pc_key);                         \
+    const std::byte* src =                                                  \
+        resolve(mem, private_arena_, ptr, sizeof(CTYPE));                   \
+    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
+                false, pc_key);                                             \
     CTYPE raw;                                                              \
-    std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
+    std::memcpy(&raw, src, sizeof(CTYPE));                                  \
     Value v;                                                                \
     v.FIELD = EXT(raw);                                                     \
     push(v);                                                                \
@@ -568,9 +574,11 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
     const std::int64_t index = pop().i64;                                   \
     const std::uint64_t ptr =                                               \
         pointer_add(pop().u64, wrap_mul(index, instr.a));                   \
-    note_access(ptr, sizeof(CTYPE), true, pc_key);                          \
+    std::byte* dst = resolve(mem, private_arena_, ptr, sizeof(CTYPE));      \
+    note_access(stats, tracker, item.linear_in_group, ptr, sizeof(CTYPE),   \
+                true, pc_key);                                              \
     const CTYPE raw = static_cast<CTYPE>(v.FIELD);                          \
-    std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
+    std::memcpy(dst, &raw, sizeof(CTYPE));                                  \
     ++stats.fused_ops;                                                      \
     break;                                                                  \
   }
@@ -660,10 +668,16 @@ RunStatus WorkItemVM::run(const MemoryEnv& mem, const LaunchInfo& launch,
 // and a kernel-level return marks it done, and either way the loop
 // advances to the next unfinished item instead of suspending. The phase
 // ends when no unfinished item remains past the cursor.
+//
+// The dispatch state (pc, code, R, fn, fr, fuel) lives in plain locals
+// that no lambda captures by reference and whose address is never taken,
+// so the compiler keeps them in registers across handlers. Block entry is
+// a macro and item switching is the next_item label for the same reason
+// (DESIGN.md §4a).
 void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
                             const WorkItemInfo* items, ExecStats& stats,
                             MemTracker* tracker) {
-  std::uint64_t fuel = fuel_;
+  std::uint64_t fuel = 0;
   Frame* fr = &frames_.back();
   const RegFunction* fn = fr->fn;
   const RegInstr* code = fn->code.data();
@@ -671,141 +685,29 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
   std::uint32_t pc = 0;
   const RegInstr* in = nullptr;
 
-  // The item the loop is executing; advance() binds item/priv/cur when
-  // switching items.
+  // The item the loop is executing, bound at next_item.
   const WorkItemInfo* item = nullptr;
   std::vector<std::byte>* priv = nullptr;
   std::size_t cur = static_cast<std::size_t>(-1);
 
-  auto trap = [](const char* what) -> void { throw TrapError(what); };
-
-  // Identical to the stack interpreter's resolve/note_access, so both
-  // paths produce the same traps and the same memory accounting.
-  auto resolve = [&](std::uint64_t ptr, std::size_t size) -> std::byte* {
-    const std::uint64_t offset = pointer_offset(ptr);
-    switch (pointer_space(ptr)) {
-      case PtrSpace::Global:
-      case PtrSpace::Constant: {
-        const std::uint64_t buffer = pointer_buffer(ptr);
-        if (buffer >= mem.buffers.size()) trap("bad buffer index");
-        auto span = mem.buffers[buffer];
-        if (offset + size > span.size()) trap("global access out of bounds");
-        return span.data() + offset;
-      }
-      case PtrSpace::Local:
-        if (offset + size > mem.local.size()) {
-          trap("local access out of bounds");
-        }
-        return mem.local.data() + offset;
-      case PtrSpace::Private:
-        if (offset + size > priv->size()) {
-          trap("private access out of bounds");
-        }
-        return priv->data() + offset;
-    }
-    trap("bad pointer space");
-    return nullptr;
-  };
-
-  auto note_access = [&](std::uint64_t ptr, std::uint32_t size, bool store,
-                         std::uint32_t pc_key) {
-    switch (pointer_space(ptr)) {
-      case PtrSpace::Global:
-      case PtrSpace::Constant:
-        if (store) {
-          stats.global_store_bytes += size;
-        } else {
-          stats.global_load_bytes += size;
-        }
-        ++stats.global_accesses;
-        if (tracker) {
-          tracker->global_access(pc_key, item->linear_in_group,
-                                 pointer_buffer(ptr), pointer_offset(ptr),
-                                 size, store);
-        }
-        break;
-      case PtrSpace::Local:
-        stats.local_bytes += size;
-        ++stats.local_accesses;
-        break;
-      case PtrSpace::Private:
-        stats.private_bytes += size;
-        break;
-    }
-  };
-
   // Block-level accounting: one histogram bump and one fuel burn per block
   // entry, precomputed at lowering time. Summed over a run this equals the
   // stack interpreter's per-instruction counting exactly.
-  auto enter_block = [&](std::uint32_t b) {
-    const RegBlock& blk = fn->blocks[b];
-    stats.control_ops += blk.control_ops;
-    stats.int_ops += blk.int_ops;
-    stats.float_ops += blk.float_ops;
-    stats.double_ops += blk.double_ops;
-    stats.special_ops += blk.special_ops;
-    stats.fused_ops += blk.fused_ops;
-    if (fuel < blk.fuel) {
-      trap("instruction budget exhausted (infinite loop?)");
-    }
-    fuel -= blk.fuel;
-    pc = blk.start;
-  };
-
-  // Advances the work-item loop to the next unfinished item and enters its
-  // pending region: restores its spill row into the shared register file,
-  // resets the per-item fuel budget (each item-region entry gets the full
-  // budget, like one stack-interpreter run() between barriers) and
-  // accounts the region's entry block. Returns false when no unfinished
-  // item remains past the cursor, i.e. the phase is over. Only called at
-  // frame depth 1 (eligible kernels have no barriers inside callees), so
-  // the kernel frame's register window starts at regs_[0].
-  auto advance = [&]() -> bool {
-    std::size_t i = cur + 1;  // first call: cur == size_t(-1) wraps to 0
-    while (i < group_items_ && done_[i]) ++i;
-    if (i >= group_items_) return false;
-    cur = i;
-    item = items + cur;
-    priv = &privs_[cur];
-    // fr/fn/code/R still address the kernel frame: Call/Ret rebind them on
-    // every push/pop and barriers only occur at frame depth 1.
-    const auto blk = pending_[cur];
-    const auto span = restore_by_block_[blk];
-    const auto* pairs = spill_pairs_.data() + span.begin;
-    // A fresh item (pending block 0) restores from the argument image; a
-    // resumed one from the spill columns its barrier save wrote.
-    const Value* src = blk == 0 ? spill_init_.data()
-                                : spills_.data() + cur * spill_stride_;
-    for (std::uint32_t k = 0; k < span.len; ++k) {
-      R[pairs[k].first] = src[pairs[k].second];
-    }
-    fuel = fuel_;
-    ++regions_executed_;
-    enter_block(blk);
-    return true;
-  };
-
-  // A kernel-level return: the item is finished; the shared kernel frame
-  // stays for the next unfinished item.
-  auto finish_item = [&]() -> bool {
-    done_[cur] = 1;
-    ++done_count_;
-    ++phase_finished_;
-    return advance();
-  };
-
-  // Returns from a helper call into its caller's frame.
-  auto pop_frame = [&] {
-    regs_.resize(fr->base);
-    frames_.pop_back();
-    fr = &frames_.back();
-    fn = fr->fn;
-    code = fn->code.data();
-    R = regs_.data() + fr->base;
-    pc = fr->pc;
-  };
-
-  if (!advance()) return;
+#define HPLREPRO_ENTER_BLOCK(BLOCK)                                         \
+  do {                                                                      \
+    const RegBlock& blk = fn->blocks[(BLOCK)];                              \
+    stats.control_ops += blk.control_ops;                                   \
+    stats.int_ops += blk.int_ops;                                           \
+    stats.float_ops += blk.float_ops;                                       \
+    stats.double_ops += blk.double_ops;                                     \
+    stats.special_ops += blk.special_ops;                                   \
+    stats.fused_ops += blk.fused_ops;                                       \
+    if (fuel < blk.fuel) {                                                  \
+      trap("instruction budget exhausted (infinite loop?)");                \
+    }                                                                       \
+    fuel -= blk.fuel;                                                       \
+    pc = blk.start;                                                         \
+  } while (0)
 
 #if HPLREPRO_VM_COMPUTED_GOTO
   static const void* const kLabels[] = {
@@ -813,6 +715,40 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
       HPLREPRO_REG_OPS(HPLREPRO_VM_LABEL)
 #undef HPLREPRO_VM_LABEL
   };
+#endif
+
+  // Advances the work-item loop to the next unfinished item and enters its
+  // pending region: restores its spill row into the shared register file,
+  // resets the per-item fuel budget (each item-region entry gets the full
+  // budget, like one stack-interpreter run() between barriers) and
+  // accounts the region's entry block. The phase is over when no
+  // unfinished item remains past the cursor. Reached only at frame depth 1
+  // (eligible kernels have no barriers inside callees), so fr/fn/code/R
+  // still address the kernel frame, whose register window starts at
+  // regs_[0].
+next_item: {
+  std::size_t i = cur + 1;  // first time: cur == size_t(-1) wraps to 0
+  while (i < group_items_ && done_[i]) ++i;
+  if (i >= group_items_) return;
+  cur = i;
+  item = items + cur;
+  priv = &privs_[cur];
+  const auto entry = pending_[cur];
+  const auto span = restore_by_block_[entry];
+  const auto* pairs = spill_pairs_.data() + span.begin;
+  // A fresh item (pending block 0) restores from the argument image; a
+  // resumed one from the spill columns its barrier save wrote.
+  const Value* src =
+      entry == 0 ? spill_init_.data() : spills_.data() + cur * spill_stride_;
+  for (std::uint32_t k = 0; k < span.len; ++k) {
+    R[pairs[k].first] = src[pairs[k].second];
+  }
+  fuel = fuel_;
+  ++regions_executed_;
+  HPLREPRO_ENTER_BLOCK(entry);
+}
+
+#if HPLREPRO_VM_COMPUTED_GOTO
 #define VM_CASE(name) L_##name:
 #define VM_NEXT                                   \
   in = code + pc;                                 \
@@ -850,10 +786,11 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
 #define HPLREPRO_RLOAD(NAME, CTYPE, FIELD, EXT)                             \
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr = R[in->a].u64;                                 \
-    note_access(ptr, sizeof(CTYPE), false,                                  \
-                static_cast<std::uint32_t>(in->aux));                       \
+    const std::byte* src = resolve(mem, *priv, ptr, sizeof(CTYPE));         \
+    note_access(stats, tracker, item->linear_in_group, ptr, sizeof(CTYPE),  \
+                false, static_cast<std::uint32_t>(in->aux));                \
     CTYPE raw;                                                              \
-    std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
+    std::memcpy(&raw, src, sizeof(CTYPE));                                  \
     R[in->dst].FIELD = EXT(raw);                                            \
   }                                                                         \
   VM_NEXT
@@ -871,10 +808,11 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
 #define HPLREPRO_RSTORE(NAME, CTYPE, FIELD)                                 \
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr = R[in->a].u64;                                 \
-    note_access(ptr, sizeof(CTYPE), true,                                   \
-                static_cast<std::uint32_t>(in->aux));                       \
+    std::byte* dst = resolve(mem, *priv, ptr, sizeof(CTYPE));               \
+    note_access(stats, tracker, item->linear_in_group, ptr, sizeof(CTYPE),  \
+                true, static_cast<std::uint32_t>(in->aux));                 \
     const CTYPE raw = static_cast<CTYPE>(R[in->b].FIELD);                   \
-    std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
+    std::memcpy(dst, &raw, sizeof(CTYPE));                                  \
   }                                                                         \
   VM_NEXT
   HPLREPRO_RSTORE(StoreI8, std::int8_t, i64)
@@ -889,10 +827,11 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr =                                               \
         pointer_add(R[in->a].u64, wrap_mul(R[in->b].i64, in->imm));         \
-    note_access(ptr, sizeof(CTYPE), false,                                  \
-                static_cast<std::uint32_t>(in->aux));                       \
+    const std::byte* src = resolve(mem, *priv, ptr, sizeof(CTYPE));         \
+    note_access(stats, tracker, item->linear_in_group, ptr, sizeof(CTYPE),  \
+                false, static_cast<std::uint32_t>(in->aux));                \
     CTYPE raw;                                                              \
-    std::memcpy(&raw, resolve(ptr, sizeof(CTYPE)), sizeof(CTYPE));          \
+    std::memcpy(&raw, src, sizeof(CTYPE));                                  \
     R[in->dst].FIELD = EXT(raw);                                            \
   }                                                                         \
   VM_NEXT
@@ -911,10 +850,11 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
   VM_CASE(NAME) {                                                           \
     const std::uint64_t ptr =                                               \
         pointer_add(R[in->a].u64, wrap_mul(R[in->b].i64, in->imm));         \
-    note_access(ptr, sizeof(CTYPE), true,                                   \
-                static_cast<std::uint32_t>(in->aux));                       \
+    std::byte* dst = resolve(mem, *priv, ptr, sizeof(CTYPE));               \
+    note_access(stats, tracker, item->linear_in_group, ptr, sizeof(CTYPE),  \
+                true, static_cast<std::uint32_t>(in->aux));                 \
     const CTYPE raw = static_cast<CTYPE>(R[in->c].FIELD);                   \
-    std::memcpy(resolve(ptr, sizeof(CTYPE)), &raw, sizeof(CTYPE));          \
+    std::memcpy(dst, &raw, sizeof(CTYPE));                                  \
   }                                                                         \
   VM_NEXT
   HPLREPRO_RSIDX(SIdxI8, std::int8_t, i64)
@@ -1031,12 +971,13 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
   }
   VM_NEXT
 
-  VM_CASE(Br) { enter_block(static_cast<std::uint32_t>(in->aux)); }
+  VM_CASE(Br) { HPLREPRO_ENTER_BLOCK(static_cast<std::uint32_t>(in->aux)); }
   VM_NEXT
 
   VM_CASE(BrIf) {
-    enter_block(R[in->a].i64 != 0 ? in->dst
-                                  : static_cast<std::uint32_t>(in->aux));
+    HPLREPRO_ENTER_BLOCK(R[in->a].i64 != 0
+                             ? in->dst
+                             : static_cast<std::uint32_t>(in->aux));
   }
   VM_NEXT
 
@@ -1066,30 +1007,45 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
     fn = &callee;
     code = fn->code.data();
     R = regs_.data() + fr->base;
-    enter_block(0);
+    HPLREPRO_ENTER_BLOCK(0);
   }
   VM_NEXT
 
+  // Returns from a helper call into its caller's frame.
+#define HPLREPRO_POP_FRAME()                                                \
+  do {                                                                      \
+    regs_.resize(fr->base);                                                 \
+    frames_.pop_back();                                                     \
+    fr = &frames_.back();                                                   \
+    fn = fr->fn;                                                            \
+    code = fn->code.data();                                                 \
+    R = regs_.data() + fr->base;                                            \
+    pc = fr->pc;                                                            \
+  } while (0)
+
   VM_CASE(Ret) {
-    if (frames_.size() == 1) {
-      if (!finish_item()) return;
-    } else {
-      const Value result = R[in->a];
-      const std::uint32_t rr = fr->ret_reg;
-      pop_frame();
-      if (rr != kNoRet) regs_[rr] = result;
-    }
+    if (frames_.size() == 1) goto finish_item;
+    const Value result = R[in->a];
+    const std::uint32_t rr = fr->ret_reg;
+    HPLREPRO_POP_FRAME();
+    if (rr != kNoRet) regs_[rr] = result;
   }
   VM_NEXT
 
   VM_CASE(RetVoid) {
-    if (frames_.size() == 1) {
-      if (!finish_item()) return;
-    } else {
-      pop_frame();
-    }
+    if (frames_.size() == 1) goto finish_item;
+    HPLREPRO_POP_FRAME();
   }
   VM_NEXT
+#undef HPLREPRO_POP_FRAME
+
+  // A kernel-level return: the item is finished; the shared kernel frame
+  // stays for the next unfinished item.
+finish_item:
+  done_[cur] = 1;
+  ++done_count_;
+  ++phase_finished_;
+  goto next_item;
 
   VM_CASE(Barrier) {
     ++stats.barriers_executed;
@@ -1110,9 +1066,8 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
     }
     pending_[cur] = resume;
     ++phase_at_barrier_;
-    if (!advance()) return;
+    goto next_item;
   }
-  VM_NEXT
 
   VM_CASE(WorkItem) {
     const auto id = static_cast<Builtin>(in->aux);
@@ -1199,6 +1154,7 @@ void WorkGroupVM::run_phase(const MemoryEnv& mem, const LaunchInfo& launch,
 #endif
 #undef VM_CASE
 #undef VM_NEXT
+#undef HPLREPRO_ENTER_BLOCK
 }
 
 // --- Work-group execution mode ----------------------------------------------

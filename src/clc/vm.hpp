@@ -57,6 +57,8 @@ struct MemoryEnv {
 
 /// Observer for global-memory accesses, used for coalescing analysis.
 /// `pc_key` identifies the memory instruction (function index << 20 | pc).
+/// Both interpreters report an access only after its bounds check passed,
+/// so `offset + size` never exceeds the buffer's size.
 class MemTracker {
 public:
   virtual ~MemTracker() = default;

@@ -14,9 +14,16 @@
 /// Work-items of a group run sequentially in the simulator, so the tracker
 /// keys the "current warp" on item_linear / warp_size and flushes when a
 /// new warp starts issuing from the same instruction.
+///
+/// Every step is constant time per segment: a last-hit cache in front of
+/// a scan of the kernel's few memory instructions finds the instruction's
+/// slot, warp and segment numbers are shifts (warp and segment sizes must
+/// be powers of two), and a per-(instruction, buffer) segment bitmap
+/// answers "already counted?" with one bit test. The bits set for the
+/// current warp are listed word by word, so a flush clears only what the
+/// warp touched.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "clc/vm.hpp"
@@ -25,9 +32,12 @@ namespace hplrepro::clsim {
 
 class CoalescingTracker final : public clc::MemTracker {
 public:
-  explicit CoalescingTracker(unsigned warp_size, unsigned segment_bytes)
-      : warp_size_(warp_size == 0 ? 1 : warp_size),
-        segment_bytes_(segment_bytes == 0 ? 32 : segment_bytes) {}
+  /// Throws InvalidArgument unless both sizes are powers of two.
+  CoalescingTracker(unsigned warp_size, unsigned segment_bytes);
+
+  /// The constructor's size check on its own, for code that accepts a
+  /// device spec before any launch.
+  static void check_sizes(unsigned warp_size, unsigned segment_bytes);
 
   void global_access(std::uint32_t pc_key, std::uint64_t item_linear,
                      std::uint64_t buffer, std::uint64_t offset,
@@ -41,16 +51,35 @@ public:
   void reset();
 
 private:
-  struct PerInstr {
-    std::uint64_t warp = UINT64_MAX;
-    // Segments touched by the current warp at this instruction. Accesses
-    // are usually strided, so a small vector with linear scan beats a set.
-    std::vector<std::uint64_t> segments;
+  /// Segments one instruction touched in one buffer, one bit each, sized
+  /// by the highest segment seen.
+  struct SegmentMap {
+    std::uint64_t buffer = 0;
+    std::vector<std::uint64_t> words;
   };
 
-  unsigned warp_size_;
-  unsigned segment_bytes_;
-  std::unordered_map<std::uint32_t, PerInstr> instrs_;
+  /// A bitmap word the current warp made nonzero.
+  struct Touched {
+    std::uint32_t map;
+    std::uint64_t word;
+  };
+
+  struct Slot {
+    std::uint32_t pc_key = 0;
+    std::uint64_t warp = UINT64_MAX;
+    std::uint64_t pending = 0;  // distinct segments of the current warp
+    std::uint32_t last_map = 0;
+    std::vector<SegmentMap> maps;
+    std::vector<Touched> touched;
+  };
+
+  Slot& slot_for(std::uint32_t pc_key);
+  void flush(Slot& slot);
+
+  unsigned warp_shift_;
+  unsigned segment_shift_;
+  std::vector<Slot> slots_;
+  std::uint32_t last_slot_ = 0;
   std::uint64_t transactions_ = 0;
 };
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "clsim/coalescing.hpp"
 #include "support/stopwatch.hpp"
 #include "support/trace.hpp"
 
@@ -81,6 +82,7 @@ std::optional<Device> Platform::device_by_name(
 }
 
 Device Platform::register_device(const DeviceSpec& spec) {
+  CoalescingTracker::check_sizes(spec.warp_size, spec.segment_bytes);
   devices_.push_back(Device(std::make_shared<DeviceSpec>(spec)));
   return devices_.back();
 }

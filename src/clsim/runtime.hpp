@@ -103,6 +103,8 @@ public:
   std::optional<Device> device_by_name(const std::string& needle) const;
 
   /// Registers an additional simulated device (tests, experiments).
+  /// Throws InvalidArgument unless spec.warp_size and spec.segment_bytes
+  /// are powers of two.
   Device register_device(const DeviceSpec& spec);
 
   /// Host thread pool shared by all simulated devices.

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 
 #include "exec_helper.hpp"
 
@@ -313,14 +314,27 @@ __kernel void k(__global int* out) {
 // --- Traps ------------------------------------------------------------------------------
 
 TEST(VmSemantics, OutOfBoundsAccessTraps) {
-  const char* src = R"(
+  // Near, negative and far past the end: the bounds check must run before
+  // any accounting that is sized by the offset, on both interpreters.
+  for (const char* index : {"1000000", "-1", "(long)1 << 40"}) {
+    const std::string src = std::string(R"(
 __kernel void k(__global int* out) {
-  out[1000000] = 1;
+  out[)") + index + R"(] = 1;
 }
 )";
-  std::vector<std::int32_t> out(4, 0);
-  EXPECT_THROW(run_kernel_1buf<std::int32_t>(src, "k", out, 1),
-               hplrepro::clc::TrapError);
+    for (const char* options : {"-cl-interp=stack", ""}) {
+      SCOPED_TRACE(std::string(index) + " with options '" + options + "'");
+      std::vector<std::int32_t> out(4, 0);
+      try {
+        run_kernel_1buf<std::int32_t>(src, "k", out, 1, {}, options);
+        ADD_FAILURE() << "expected a TrapError";
+      } catch (const hplrepro::clc::TrapError& e) {
+        EXPECT_NE(std::string(e.what()).find("global access out of bounds"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(VmSemantics, InfiniteLoopTrapsOnFuel) {
